@@ -49,6 +49,15 @@ void BM_EcdsaVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_EcdsaVerify);
 
+void BM_EcdsaKeygen(benchmark::State& state) {
+  // k*G plus the conversion to affine: what each controller identity costs.
+  const auto d = curb::crypto::KeyPair::from_seed("bench").private_key();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curb::crypto::KeyPair::from_private(d));
+  }
+}
+BENCHMARK(BM_EcdsaKeygen);
+
 void BM_MerkleRoot(benchmark::State& state) {
   std::vector<curb::crypto::Hash256> leaves;
   for (int i = 0; i < state.range(0); ++i) {

@@ -13,9 +13,11 @@ namespace curb::crypto {
 
 /// secp256k1 curve arithmetic: y^2 = x^3 + 7 over F_p,
 ///   p = 2^256 - 2^32 - 977.
-/// Implemented from scratch (Jacobian coordinates, fast reduction for the
-/// pseudo-Mersenne prime) to replace the paper's pure-Python ECDSA stack.
-/// Not constant-time: this is a protocol simulation, not a wallet.
+/// Implemented from scratch to replace the paper's pure-Python ECDSA stack:
+/// curve-specific reductions mod p and mod n, Jacobian coordinates with
+/// mixed additions, a fixed-base comb for k*G, and one Strauss–Shamir pass
+/// for u1*G + u2*Q. Not constant-time: this is a protocol simulation, not a
+/// wallet.
 namespace secp256k1 {
 
 /// Field prime p.
@@ -39,6 +41,21 @@ struct AffinePoint {
 [[nodiscard]] U256 fe_sqr(const U256& a);
 [[nodiscard]] U256 fe_inv(const U256& a);
 
+// --- Scalar arithmetic mod n (folding with 2^256 - n, a 129-bit constant) ---
+[[nodiscard]] U256 sc_mul(const U256& a, const U256& b);
+/// a^-1 mod n by binary extended Euclid; throws std::domain_error if a ≡ 0.
+[[nodiscard]] U256 sc_inv(const U256& a);
+
+/// Width-w non-adjacent form of k: k = Σ digits[i]·2^i, every nonzero digit
+/// odd with |digit| < 2^(w-1), at most one nonzero digit in any w
+/// consecutive positions. `len` is one past the highest nonzero digit.
+struct Wnaf {
+  std::array<std::int8_t, 257> digits{};
+  int len = 0;
+};
+/// Recode k (any 256-bit value) with width w in [2, 8].
+[[nodiscard]] Wnaf to_wnaf(const U256& k, int w);
+
 /// Jacobian point (X, Y, Z); affine = (X/Z^2, Y/Z^3). Z = 0 encodes infinity.
 struct JacobianPoint {
   U256 x;
@@ -53,10 +70,18 @@ struct JacobianPoint {
 
 [[nodiscard]] JacobianPoint point_double(const JacobianPoint& p);
 [[nodiscard]] JacobianPoint point_add(const JacobianPoint& p, const JacobianPoint& q);
-/// Scalar multiplication k*P (double-and-add, MSB first).
+/// P + Q with Q affine (Z = 1), which saves the multiplications by Q's Z.
+[[nodiscard]] JacobianPoint point_add_mixed(const JacobianPoint& p, const AffinePoint& q);
+/// Reference k*P: one doubling per bit and one addition per set bit. Only
+/// the tests use it, as the oracle for scalar_mul_base and double_scalar_mul.
 [[nodiscard]] JacobianPoint scalar_mul(const U256& k, const JacobianPoint& p);
-/// k*G.
+/// k*G from a fixed-base comb table (8 teeth, 255 affine points, built once
+/// per process): 31 doublings and at most 32 mixed additions.
 [[nodiscard]] JacobianPoint scalar_mul_base(const U256& k);
+/// u1*G + u2*Q in one Strauss–Shamir pass: shared doublings, u2 in width-5
+/// wNAF over Q's odd multiples built per call, u1 through the comb table.
+[[nodiscard]] JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
+                                              const AffinePoint& q);
 
 /// True iff (x, y) satisfies the curve equation (and is not infinity).
 [[nodiscard]] bool on_curve(const AffinePoint& p);

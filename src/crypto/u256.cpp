@@ -5,10 +5,6 @@
 
 namespace curb::crypto {
 
-namespace {
-__extension__ typedef unsigned __int128 u128;
-}
-
 U256 U256::from_hex(std::string_view hex) {
   if (hex.size() > 64) throw std::invalid_argument{"U256::from_hex: too long"};
   U256 out;
@@ -59,41 +55,6 @@ int U256::highest_bit() const {
     if (limbs_[i] != 0) return i * 64 + (63 - std::countl_zero(limbs_[i]));
   }
   return -1;
-}
-
-bool U256::add_with_carry(const U256& a, const U256& b, U256& out) {
-  std::uint64_t carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 sum = static_cast<u128>(a.limbs_[i]) + b.limbs_[i] + carry;
-    out.limbs_[i] = static_cast<std::uint64_t>(sum);
-    carry = static_cast<std::uint64_t>(sum >> 64);
-  }
-  return carry != 0;
-}
-
-bool U256::sub_with_borrow(const U256& a, const U256& b, U256& out) {
-  std::uint64_t borrow = 0;
-  for (int i = 0; i < 4; ++i) {
-    const u128 diff = static_cast<u128>(a.limbs_[i]) - b.limbs_[i] - borrow;
-    out.limbs_[i] = static_cast<std::uint64_t>(diff);
-    borrow = (diff >> 64) != 0 ? 1 : 0;
-  }
-  return borrow != 0;
-}
-
-std::array<std::uint64_t, 8> U256::mul_wide(const U256& a, const U256& b) {
-  std::array<std::uint64_t, 8> out{};
-  for (int i = 0; i < 4; ++i) {
-    std::uint64_t carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      const u128 cur =
-          static_cast<u128>(a.limbs_[i]) * b.limbs_[j] + out[i + j] + carry;
-      out[i + j] = static_cast<std::uint64_t>(cur);
-      carry = static_cast<std::uint64_t>(cur >> 64);
-    }
-    out[i + 4] = carry;
-  }
-  return out;
 }
 
 U256 U256::operator<<(unsigned n) const {
@@ -154,8 +115,8 @@ U256 U256::sub_mod(const U256& a, const U256& b, const U256& m) {
 U256 U256::mul_mod(const U256& a, const U256& b, const U256& m) {
   // Russian-peasant multiplication: result accumulates b * bit_i(a) with a
   // doubling of b each step, all modulo m. Correct for any m, no special
-  // structure assumed; the secp256k1 field layer overrides this with a
-  // faster reduction for its fixed prime.
+  // structure assumed; secp256k1 reduces mod p and mod n with its own
+  // folding code and only the tests compare against this.
   U256 result;
   U256 addend = reduce(b, m);
   const int top = a.highest_bit();

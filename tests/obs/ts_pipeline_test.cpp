@@ -5,6 +5,7 @@
 // outputs, and same-seed telemetry must be byte-identical.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -29,6 +30,12 @@ CurbOptions ts_options() {
   opts.op_fixed_time = 20_ms;
   opts.ts_window = 50_ms;
   return opts;
+}
+
+/// A temporary file private to this process: this suite is built into two test
+/// binaries (plain and allocation-accounted) that ctest may run at once.
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/" + name + "." + std::to_string(::getpid());
 }
 
 std::string slurp(const std::string& path) {
@@ -66,8 +73,8 @@ TEST(TsPipeline, TelemetryDoesNotChangeProtocolOutputs) {
 }
 
 TEST(TsPipeline, SameSeedRunsEmitByteIdenticalJsonl) {
-  const std::string path_a = ::testing::TempDir() + "/curb_ts_a.jsonl";
-  const std::string path_b = ::testing::TempDir() + "/curb_ts_b.jsonl";
+  const std::string path_a = temp_path("curb_ts_a.jsonl");
+  const std::string path_b = temp_path("curb_ts_b.jsonl");
   for (const std::string& path : {path_a, path_b}) {
     CurbOptions opts = ts_options();
     opts.ts_out = path;
@@ -82,7 +89,7 @@ TEST(TsPipeline, SameSeedRunsEmitByteIdenticalJsonl) {
 }
 
 TEST(TsPipeline, StreamedJsonlMatchesInMemoryWindows) {
-  const std::string path = ::testing::TempDir() + "/curb_ts_stream.jsonl";
+  const std::string path = temp_path("curb_ts_stream.jsonl");
   CurbOptions opts = ts_options();
   opts.ts_out = path;
   opts.ts_retention = 1'000'000;  // keep everything for the comparison
@@ -180,7 +187,7 @@ TEST(TsPipeline, SloRulesImplyTelemetryAndObservability) {
 }
 
 TEST(TsPipeline, DeferredInitFlushesTelemetryWhenInfeasible) {
-  const std::string path = ::testing::TempDir() + "/curb_ts_abort.jsonl";
+  const std::string path = temp_path("curb_ts_abort.jsonl");
   CurbOptions opts = ts_options();
   opts.ts_out = path;
   opts.max_cs_delay_ms = 0.01;  // no controller can serve any switch
