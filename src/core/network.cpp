@@ -443,7 +443,17 @@ void CurbNetwork::initialize() {
   const opt::CapResult result =
       cap_solver().solve(instance, opt::CapObjective::kTrivial, nullptr);
   if (!result.feasible) {
-    throw std::runtime_error{"CurbNetwork: initial controller assignment infeasible"};
+    // Only a search that ran to its end proves infeasibility; one cut off by
+    // its budget, or the heuristic, merely found nothing.
+    if (result.stats.proven) {
+      throw std::runtime_error{"CurbNetwork: initial controller assignment infeasible"};
+    }
+    const std::string how = result.stats.backend == "heuristic"
+                                ? std::string{"by the heuristic solver"}
+                                : "within op_wall_limit_ms after " +
+                                      std::to_string(result.stats.milp_nodes) + " nodes";
+    throw std::runtime_error{"CurbNetwork: no initial controller assignment found " + how +
+                             "; not proven infeasible"};
   }
   genesis_state_ = AssignmentState::build(result.assignment, options_.f, /*epoch=*/0);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -222,6 +223,27 @@ namespace {
 }
 
 }  // namespace
+
+std::optional<double> usage_lower_bound(const CapInstance& inst) {
+  double demand = 0.0;
+  int widest_group = 0;
+  for (std::size_t i = 0; i < inst.num_switches; ++i) {
+    demand += inst.switch_load[i] * static_cast<double>(inst.group_size[i]);
+    widest_group = std::max(widest_group, inst.group_size[i]);
+  }
+  std::vector<double> capacities;
+  for (std::size_t j = 0; j < inst.num_controllers; ++j) {
+    if (!is_byzantine(inst, j)) capacities.push_back(inst.controller_capacity[j]);
+  }
+  std::sort(capacities.begin(), capacities.end(), std::greater<>{});
+  std::size_t needed = 0;
+  double covered = 0.0;
+  while (covered < demand - 1e-9) {
+    if (needed == capacities.size()) return std::nullopt;
+    covered += capacities[needed++];
+  }
+  return static_cast<double>(std::max(needed, static_cast<std::size_t>(widest_group)));
+}
 
 std::optional<Assignment> greedy_assign(const CapInstance& inst) {
   inst.validate();
@@ -505,6 +527,10 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
     // The MILP objective omits lcr_constant; convert the incumbent to match.
     options.incumbent_objective = warm_objective - lcr_constant;
   }
+  // The counting bound ends the search at the first incumbent that meets it
+  // (often the warm start itself) without changing which assignment wins.
+  options.lower_bound =
+      objective == CapObjective::kTrivial ? usage_lower_bound(inst) : std::nullopt;
 
   const std::size_t num_constraints = lp.num_constraints();
   MilpSolver solver{std::move(lp)};

@@ -106,12 +106,14 @@ struct CapSolveStats {
   std::size_t num_constraints = 0;
   double wall_time_ms = 0.0;
   bool used_greedy_fallback = false;
-  /// True when branch-and-bound ran to completion within its limits, so the
-  /// result is a proven optimum (or a proven infeasibility). False for the
-  /// heuristic backend and for limit-truncated exact searches, whose answer
-  /// is only the best known. A fallback result can still be proven: the
-  /// search exhausting the tree without beating the warm incumbent is
-  /// exactly the proof that the incumbent was optimal.
+  /// True when branch-and-bound ended within its limits, so the result is a
+  /// proven optimum (or a proven infeasibility). It ends either by
+  /// exhausting the tree or, for kTrivial, as soon as the incumbent reaches
+  /// usage_lower_bound(): nothing can use fewer controllers than that. False
+  /// for the heuristic backend and for limit-truncated exact searches, whose
+  /// answer is only the best known. A fallback result can still be proven:
+  /// a warm incumbent that meets the bound, or that the exhausted tree never
+  /// beat, is optimal.
   bool proven = false;
 };
 
@@ -145,6 +147,14 @@ struct CapResult {
                                   const Assignment* previous = nullptr,
                                   const MilpOptions& milp_options = {},
                                   bool seed_incumbent_from_previous = false);
+
+/// A proven lower bound on the controllers any feasible assignment uses
+/// (the kTrivial optimum), by counting alone: switch i needs B_i distinct
+/// controllers, so at least max_i B_i; and the used controllers' capacities
+/// must absorb sum_i load_i * B_i, so at least as many as the largest
+/// non-byzantine capacities take to reach that sum. nullopt when all of
+/// them together fall short (the instance is infeasible).
+[[nodiscard]] std::optional<double> usage_lower_bound(const CapInstance& instance);
 
 /// Greedy construction heuristic (also the warm start and an ablation
 /// baseline): repeatedly pick the controller that covers the most unmet

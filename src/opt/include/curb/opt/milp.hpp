@@ -44,6 +44,14 @@ struct MilpOptions {
   /// solve() only returns solutions STRICTLY better than this value — a
   /// kInfeasible result then means "keep your heuristic solution".
   std::optional<double> incumbent_objective;
+  /// Optional proven lower bound on the optimal objective, from an argument
+  /// outside the LP. The search stops as soon as the incumbent reaches it:
+  /// no node can then hold a strictly better solution, the only kind the
+  /// search ever accepts, so the nodes explored up to that point and the
+  /// solution returned are exactly those of the unbounded search. The
+  /// result then counts as proven (no limit flag is set). Must truly bound
+  /// the optimum from below, or the returned solution may not be optimal.
+  std::optional<double> lower_bound;
   /// When all objective coefficients are integral, bounds can be rounded up
   /// before pruning, cutting the tree substantially. Detected automatically;
   /// this flag force-disables the optimization.
@@ -55,7 +63,8 @@ struct MilpOptions {
 /// Branch-and-bound over LP relaxations for problems whose integer
 /// variables are binary (0/1) — which covers every OP() program in the
 /// paper (A_ij and x_j are all binary). Branching fixes a fractional
-/// variable to 0 / 1 via bounds; depth-first with best-bound tie-breaking.
+/// variable to 0 / 1 via bounds; pure depth-first search, the child that
+/// rounds toward the LP value first.
 class MilpSolver {
  public:
   explicit MilpSolver(LpProblem problem) : problem_{std::move(problem)} {}

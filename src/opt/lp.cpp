@@ -42,7 +42,11 @@ constexpr double kPivotEps = 1e-9;
 /// Nonbasic variables rest at one of their bounds; the ratio test considers
 /// basic variables hitting either bound plus the entering variable flipping
 /// to its opposite bound. Basic values and reduced costs are maintained
-/// incrementally so an iteration costs one tableau pivot.
+/// incrementally so an iteration costs one tableau pivot, and the pivot
+/// touches only the pivot row's nonzero columns: a zero there leaves every
+/// other row's entry unchanged, so skipping it changes no value (at most the
+/// sign of a zero, which nothing reads) and the pivot sequence is the same
+/// as a full sweep's.
 class Simplex {
  public:
   Simplex(const LpProblem& p, std::size_t max_iterations)
@@ -81,13 +85,11 @@ class Simplex {
     }
 
     tableau_.assign(m, std::vector<double>(num_cols_, 0.0));
-    rhs_.assign(m, 0.0);
     for (std::size_t k = 0; k < m; ++k) {
       const auto& row = problem_.row(k);
       for (const auto& [var, coeff] : row.terms) {
         tableau_[k][static_cast<std::size_t>(var)] += coeff;
       }
-      rhs_[k] = row.rhs;
       const std::size_t slack = n + k;
       switch (row.sense) {
         case LpProblem::Sense::kLe:
@@ -125,10 +127,9 @@ class Simplex {
         const double bv = bound_value(j);
         if (bv != 0.0) activity += tableau_[k][j] * bv;
       }
-      double residual = rhs_[k] - activity;
+      double residual = problem_.row(k).rhs - activity;
       if (residual < 0) {
         for (std::size_t j = 0; j < n + m; ++j) tableau_[k][j] = -tableau_[k][j];
-        rhs_[k] = -rhs_[k];
         residual = -residual;
       }
       const std::size_t art = n + m + k;
@@ -142,6 +143,16 @@ class Simplex {
     for (std::size_t k = 0; k < m; ++k) phase1_cost_[n + m + k] = 1.0;
     phase2_cost_.assign(num_cols_, 0.0);
     for (std::size_t j = 0; j < n; ++j) phase2_cost_[j] = problem_.cost(static_cast<int>(j));
+    collect_movable();
+  }
+
+  /// Columns the entering scan may pick: those not pinned to one value
+  /// (equality slacks, fixed variables, and artificials after phase 1).
+  void collect_movable() {
+    movable_.clear();
+    for (std::size_t j = 0; j < num_cols_; ++j) {
+      if (lower_[j] != upper_[j]) movable_.push_back(j);
+    }
   }
 
   [[nodiscard]] double bound_value(std::size_t j) const {
@@ -153,6 +164,10 @@ class Simplex {
   /// Recompute the maintained reduced-cost row for a new phase cost vector.
   void reset_costs(const std::vector<double>& cost) {
     cost_ = &cost;
+    costed_.clear();
+    for (std::size_t j = 0; j < num_cols_; ++j) {
+      if (cost[j] != 0.0) costed_.push_back(j);
+    }
     z_.assign(num_cols_, 0.0);
     for (std::size_t j = 0; j < num_cols_; ++j) {
       if (status_[j] == Status::kBasic) continue;
@@ -165,9 +180,11 @@ class Simplex {
     }
   }
 
+  /// Sums the costed columns only, in index order: zero-cost ones would add
+  /// exact zeros.
   [[nodiscard]] double phase_objective() const {
     double obj = 0.0;
-    for (std::size_t j = 0; j < num_cols_; ++j) {
+    for (const std::size_t j : costed_) {
       if (status_[j] != Status::kBasic) obj += (*cost_)[j] * bound_value(j);
     }
     for (std::size_t k = 0; k < num_rows_; ++k) obj += (*cost_)[basis_[k]] * xb_[k];
@@ -184,6 +201,7 @@ class Simplex {
       upper_[j] = 0.0;
       if (status_[j] != Status::kBasic) status_[j] = Status::kAtLower;
     }
+    collect_movable();
   }
 
   /// Run simplex iterations against the current cost. False on iteration limit.
@@ -217,9 +235,8 @@ class Simplex {
   [[nodiscard]] int choose_entering(bool bland) const {
     int best = -1;
     double best_score = -kEps;
-    for (std::size_t j = 0; j < num_cols_; ++j) {
+    for (const std::size_t j : movable_) {  // ascending: ties go to the lowest index
       if (status_[j] == Status::kBasic) continue;
-      if (lower_[j] == upper_[j]) continue;  // pinned (equality slack, artificial)
       const double z = z_[j];
       double score = 0.0;
       if (status_[j] == Status::kAtLower && z < -kEps) score = z;
@@ -300,25 +317,27 @@ class Simplex {
     }
     const double entering_value = bound_value(entering) + sigma * t;
 
-    const double pivot = tableau_[r][entering];
-    const double inv_pivot = 1.0 / pivot;
+    const double inv_pivot = 1.0 / tableau_[r][entering];
     auto& prow = tableau_[r];
-    for (std::size_t j = 0; j < num_cols_; ++j) prow[j] *= inv_pivot;
-    rhs_[r] *= inv_pivot;
+    pivot_cols_.clear();
+    for (std::size_t j = 0; j < num_cols_; ++j) {
+      if (prow[j] == 0.0) continue;
+      prow[j] *= inv_pivot;
+      pivot_cols_.push_back(j);
+    }
     for (std::size_t k = 0; k < num_rows_; ++k) {
       if (k == r) continue;
       const double factor = tableau_[k][entering];
       if (std::abs(factor) <= kPivotEps) continue;
       auto& krow = tableau_[k];
-      for (std::size_t j = 0; j < num_cols_; ++j) krow[j] -= factor * prow[j];
-      rhs_[k] -= factor * rhs_[r];
+      for (const std::size_t j : pivot_cols_) krow[j] -= factor * prow[j];
     }
     // Maintain reduced costs. The generic update also produces the leaving
     // column's new reduced cost (-z_e / pivot), since its pre-pivot tableau
     // column was the unit vector for row r.
     const double z_e = z_[entering];
     if (z_e != 0.0) {
-      for (std::size_t j = 0; j < num_cols_; ++j) z_[j] -= z_e * prow[j];
+      for (const std::size_t j : pivot_cols_) z_[j] -= z_e * prow[j];
     }
     z_[entering] = 0.0;
 
@@ -354,7 +373,6 @@ class Simplex {
   std::size_t num_rows_ = 0;
   std::size_t num_cols_ = 0;
   std::vector<std::vector<double>> tableau_;
-  std::vector<double> rhs_;
   std::vector<double> lower_;
   std::vector<double> upper_;
   std::vector<Status> status_;
@@ -362,6 +380,9 @@ class Simplex {
   std::vector<double> xb_;  // current values of basic variables, by row
   std::vector<double> z_;   // maintained reduced costs (valid for nonbasic)
   const std::vector<double>* cost_ = nullptr;
+  std::vector<std::size_t> costed_;      // columns with nonzero current cost
+  std::vector<std::size_t> movable_;     // columns not pinned to one value
+  std::vector<std::size_t> pivot_cols_;  // nonzero columns of the pivot row
   std::vector<double> phase1_cost_;
   std::vector<double> phase2_cost_;
   std::size_t iterations_ = 0;

@@ -88,7 +88,10 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
     }
     return s;
   };
-  while (!stack.empty()) {
+  // Once the incumbent meets a proven lower bound nothing strictly better
+  // exists, so the rest of the tree could only be pruned.
+  const double lower_bound = options.lower_bound.value_or(-LpProblem::kInf);
+  while (!stack.empty() && incumbent > lower_bound + kIntEps) {
     if (stats.nodes_explored >= options.max_nodes) {
       best.hit_node_limit = true;
       break;

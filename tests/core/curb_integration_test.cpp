@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "curb/core/simulation.hpp"
@@ -34,6 +35,34 @@ CurbSimulation small_sim(CurbOptions opts = test_options()) {
   opts.controller_capacity = 8.0;
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
   return CurbSimulation{net::random_geo_topology(8, 10, 99), opts};
+}
+
+/// The message CurbSimulation's constructor throws with `opts`, or "" if it
+/// does not throw.
+std::string construction_error(const CurbOptions& opts) {
+  try {
+    const CurbSimulation sim{opts};
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CurbNetwork, InitialSolveCutOffIsNotReportedAsInfeasible) {
+  // Capacity 12 and D_cs 14 ms: feasible, but the greedy warm start finds
+  // nothing, so a search stopped before its first node has no assignment.
+  CurbOptions opts = test_options();
+  opts.max_cs_delay_ms = 14.0;
+  opts.op_wall_limit_ms = 1e-6;
+  const std::string cut_off = construction_error(opts);
+  EXPECT_NE(cut_off.find("no initial controller assignment found within op_wall_limit_ms"),
+            std::string::npos)
+      << cut_off;
+  EXPECT_NE(cut_off.find("not proven infeasible"), std::string::npos) << cut_off;
+
+  // No controller within 0.001 ms of a switch: infeasible, and proven so.
+  opts.max_cs_delay_ms = 0.001;
+  EXPECT_EQ(construction_error(opts), "CurbNetwork: initial controller assignment infeasible");
 }
 
 TEST(CurbNetwork, InitializationSatisfiesPaperConstraints) {

@@ -265,6 +265,38 @@ TEST(SolveCap, PaperScaleInternetLikeInstance) {
   EXPECT_LE(r.assignment.controllers_used(), 16u);
 }
 
+TEST(UsageLowerBound, CountsGroupSizeAndCapacity) {
+  // Group size alone: a switch needs 2 distinct controllers.
+  EXPECT_EQ(usage_lower_bound(CapInstance::uniform(4, 6, 2, 1.0, 100.0)), 2.0);
+  // Capacity: 4 switches x group 2 = 8 units of load, 2 per controller.
+  EXPECT_EQ(usage_lower_bound(CapInstance::uniform(4, 6, 2, 1.0, 2.0)), 4.0);
+  // The largest usable capacities count first; byzantine ones not at all.
+  CapInstance inst = CapInstance::uniform(4, 4, 1, 1.0, 1.0);
+  inst.controller_capacity = {3.0, 1.0, 2.0, 4.0};
+  inst.byzantine[3] = true;
+  EXPECT_EQ(usage_lower_bound(inst), 2.0);  // 3 + 2 >= 4
+  // Every usable controller together falls short: no bound to give.
+  inst.controller_capacity = {1.0, 1.0, 1.0, 4.0};
+  EXPECT_FALSE(usage_lower_bound(inst).has_value());
+}
+
+TEST(SolveCap, WarmStartAtLowerBoundIsProvenWithoutSearch) {
+  // The greedy covers every switch with 2 controllers, which the group size
+  // already proves optimal: branch-and-bound never opens a node.
+  const CapInstance inst = small_instance();
+  const CapResult r = solve_cap(inst);
+  ASSERT_TRUE(r.feasible);
+  EXPECT_TRUE(r.stats.proven);
+  EXPECT_TRUE(r.stats.used_greedy_fallback);
+  EXPECT_EQ(r.stats.milp_nodes, 0u);
+  EXPECT_DOUBLE_EQ(r.objective, 2.0);
+  // The bound is for controller usage only; LCR searches as before.
+  const CapResult lcr = solve_cap(inst, CapObjective::kLeastMovement, &r.assignment);
+  ASSERT_TRUE(lcr.feasible);
+  EXPECT_TRUE(lcr.stats.proven);
+  EXPECT_GT(lcr.stats.milp_nodes, 0u);
+}
+
 TEST(SolveCap, StatsArePopulated) {
   const CapResult r = solve_cap(small_instance());
   EXPECT_GT(r.stats.num_variables, 0u);

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,22 @@ TEST(SolverCorpus, ExactBackendsReproduceKnownOptima) {
       }
     }
   }
+}
+
+TEST(SolverCorpus, UsageLowerBoundNeverExceedsKnownOptima) {
+  // The bound ends the exact search early; one above the optimum would end
+  // it at a suboptimal incumbent and call that proven.
+  std::size_t checked = 0;
+  for (const std::string& path : corpus_files()) {
+    SCOPED_TRACE(path);
+    const StoredInstance stored = load_instance(path);
+    if (!stored.tcr_optimum) continue;
+    const std::optional<double> bound = usage_lower_bound(stored.instance);
+    ASSERT_TRUE(bound.has_value()) << "a feasible instance always has a bound";
+    EXPECT_LE(*bound, *stored.tcr_optimum + 1e-9);
+    ++checked;
+  }
+  EXPECT_GE(checked, 10u);
 }
 
 TEST(SolverCorpus, HeuristicStaysFeasibleAndBounded) {

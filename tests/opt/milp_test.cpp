@@ -124,9 +124,10 @@ TEST(Milp, NodeLimitReported) {
   EXPECT_TRUE(s.hit_node_limit);
 }
 
-TEST(Milp, LargerCoveringProblemOptimal) {
-  // 30 elements, 12 sets with deterministic structure; verify optimality by
-  // checking the solution is a valid cover and the LP bound is tight-ish.
+/// 30 elements, 12 sets with deterministic structure. Depth-first search
+/// reaches the optimal cover (4 sets) before it has explored enough of the
+/// tree to prove it.
+MilpSolver larger_cover() {
   LpProblem p;
   std::vector<int> sets;
   for (int j = 0; j < 12; ++j) sets.push_back(p.add_variable(1.0, 0.0, 1.0));
@@ -137,16 +138,63 @@ TEST(Milp, LargerCoveringProblemOptimal) {
         terms.push_back({sets[static_cast<std::size_t>(j)], 1.0});
       }
     }
-    ASSERT_FALSE(terms.empty()) << "element " << e << " uncoverable";
     p.add_constraint(std::move(terms), LpProblem::Sense::kGe, 1.0);
   }
-  MilpSolver solver{p};
+  MilpSolver solver{std::move(p)};
   solver.set_binary(sets);
-  const MilpSolution s = solver.solve();
+  return solver;
+}
+
+TEST(Milp, LargerCoveringProblemOptimal) {
+  // Verify optimality by checking the solution is a valid cover of integral
+  // values at the known optimum.
+  const MilpSolution s = larger_cover().solve();
   ASSERT_EQ(s.status, LpStatus::kOptimal);
+  EXPECT_NEAR(s.objective, 4.0, 1e-6);
   for (const double v : s.values) {
     EXPECT_TRUE(std::abs(v) < 1e-9 || std::abs(v - 1.0) < 1e-9);
   }
+}
+
+TEST(Milp, LowerBoundAtOptimumStopsAtFirstOptimalIncumbent) {
+  MilpSolver solver = larger_cover();
+  const MilpSolution full = solver.solve();
+  ASSERT_EQ(full.status, LpStatus::kOptimal);
+  MilpOptions opts;
+  opts.lower_bound = full.objective;
+  const MilpSolution bounded = solver.solve(opts);
+  ASSERT_EQ(bounded.status, LpStatus::kOptimal);
+  EXPECT_LT(bounded.nodes_explored, full.nodes_explored);
+  EXPECT_LT(bounded.lp_iterations, full.lp_iterations);
+  EXPECT_FALSE(bounded.hit_node_limit || bounded.hit_time_limit);
+  EXPECT_EQ(bounded.objective, full.objective);
+  EXPECT_EQ(bounded.values, full.values);
+}
+
+TEST(Milp, LowerBoundBelowOptimumChangesNothing) {
+  MilpSolver solver = larger_cover();
+  const MilpSolution full = solver.solve();
+  ASSERT_EQ(full.status, LpStatus::kOptimal);
+  MilpOptions opts;
+  opts.lower_bound = full.objective - 1.0;
+  const MilpSolution bounded = solver.solve(opts);
+  ASSERT_EQ(bounded.status, LpStatus::kOptimal);
+  EXPECT_EQ(bounded.nodes_explored, full.nodes_explored);
+  EXPECT_EQ(bounded.lp_iterations, full.lp_iterations);
+  EXPECT_EQ(bounded.objective, full.objective);
+  EXPECT_EQ(bounded.values, full.values);
+}
+
+TEST(Milp, WarmIncumbentAtLowerBoundExploresNoNode) {
+  // The warm incumbent is already optimal by the bound: the search returns
+  // at once, within its limits, telling the caller to keep its solution.
+  MilpOptions opts;
+  opts.incumbent_objective = 4.0;
+  opts.lower_bound = 4.0;
+  const MilpSolution s = larger_cover().solve(opts);
+  EXPECT_EQ(s.status, LpStatus::kInfeasible);
+  EXPECT_EQ(s.nodes_explored, 0u);
+  EXPECT_FALSE(s.hit_node_limit || s.hit_time_limit);
 }
 
 }  // namespace

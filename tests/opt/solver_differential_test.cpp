@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,6 +149,55 @@ TEST(SolverDifferential, BackendsAgreeOnTcr) {
     if (dense.feasible && profile.capacity_slack >= 2.0) {
       EXPECT_TRUE(heur.feasible) << "heuristic gave up on an easy instance";
     }
+  }
+}
+
+/// `inst` plus one controller that is eligible for no switch but could
+/// absorb the whole load. It can never be used, so the optimum is the same;
+/// but it satisfies the capacity part of usage_lower_bound() alone, so an
+/// exact solve of the copy can end early only at max_i B_i, and its optimum
+/// does not depend on the capacity part being right.
+[[nodiscard]] CapInstance with_unusable_controller(const CapInstance& inst) {
+  CapInstance out = inst;
+  double load = 0.0;
+  double farthest = 0.0;
+  for (std::size_t i = 0; i < inst.num_switches; ++i) {
+    load += inst.switch_load[i] * static_cast<double>(inst.group_size[i]);
+    for (const double d : inst.cs_delay[i]) farthest = std::max(farthest, d);
+  }
+  // A finite delay cap that every real link already meets excludes the new
+  // controller without excluding anything else.
+  if (out.max_cs_delay == CapInstance::kNoLimit) out.max_cs_delay = farthest;
+  ++out.num_controllers;
+  out.controller_capacity.push_back(load);
+  for (auto& row : out.cs_delay) row.push_back(out.max_cs_delay + 1.0);
+  for (auto& row : out.cc_delay) row.push_back(0.0);
+  if (!out.cc_delay.empty()) out.cc_delay.emplace_back(out.num_controllers, 0.0);
+  if (!out.byzantine.empty()) out.byzantine.push_back(false);
+  return out;
+}
+
+TEST(SolverDifferential, UsageLowerBoundNeverExceedsOptimum) {
+  // The sweep includes byzantine exclusions, delay caps, fixed leaders and
+  // capacity-starved instances; the counting bound must hold on all of them
+  // (it ignores every constraint but group size and capacity, so it can
+  // only be loose, never above the optimum).
+  for (const GenProfile& profile : sweep_profiles()) {
+    const CapInstance inst = generate_instance(profile);
+    SCOPED_TRACE(profile_name(profile));
+    const CapInstance padded = with_unusable_controller(inst);
+    ASSERT_EQ(usage_lower_bound(padded),
+              std::optional<double>{static_cast<double>(
+                  *std::max_element(inst.group_size.begin(), inst.group_size.end()))});
+    const CapResult reference = solve_cap_with(CapSolverBackend::kDense, padded);
+    const CapResult dense = solve_cap_with(CapSolverBackend::kDense, inst);
+    ASSERT_EQ(dense.feasible, reference.feasible);
+    if (!dense.feasible) continue;
+    EXPECT_TRUE(reference.stats.proven);
+    EXPECT_NEAR(dense.objective, reference.objective, 1e-6);
+    const std::optional<double> bound = usage_lower_bound(inst);
+    ASSERT_TRUE(bound.has_value());
+    EXPECT_LE(*bound, reference.objective + 1e-9);
   }
 }
 
