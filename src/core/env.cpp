@@ -11,7 +11,7 @@ namespace curb::core {
 
 const std::vector<EnvVar>& curb_env_vars() {
   static const std::vector<EnvVar> vars = {
-      {"CURB_SOLVER", "dense|sparse|heuristic",
+      {"CURB_SOLVER", "dense|heuristic",
        "OP() solver backend for every assignment solve"},
       {"CURB_FAULT", "spec", "fault-injection plan (curb::fault spec grammar)"},
       {"CURB_FAULT_SEED", "u64", "seed for the fault plan's own RNG stream"},
@@ -108,7 +108,7 @@ bool apply_env_to_options(CurbOptions& opts, std::string* error) {
       opts.op_solver = *backend;
     } else {
       return fail(error, "unknown CURB_SOLVER '" + *name +
-                             "' (want dense|sparse|heuristic)");
+                             "' (want dense|heuristic)");
     }
   }
   if (const auto spec = env_get("CURB_FAULT")) opts.fault_spec = *spec;

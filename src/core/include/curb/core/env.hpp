@@ -14,7 +14,7 @@ namespace curb::core {
 /// variable cannot be honoured without being documented (and vice versa).
 struct EnvVar {
   const char* name;
-  const char* value_hint;  // e.g. "path", "dense|sparse|heuristic"
+  const char* value_hint;  // e.g. "path", "dense|heuristic"
   const char* description;
 };
 

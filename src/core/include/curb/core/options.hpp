@@ -73,10 +73,10 @@ struct CurbOptions {
   /// Assignment solver objective used for reassignment.
   opt::CapObjective reassign_objective = opt::CapObjective::kTrivial;
   /// CAP solver backend for every OP() solve (initial assignment and
-  /// reassignments). kDense is the byte-stable baseline; kSparse scales the
-  /// exact solver past Internet2; kHeuristic trades optimality proofs for
-  /// millisecond solves at 1000 switches x 100 controllers. curb-sim maps
-  /// --solver onto this.
+  /// reassignments). kDense is the exact, byte-stable default; kHeuristic
+  /// trades optimality proofs for millisecond solves at 1000 switches x 100
+  /// controllers, and misses the default Internet2 instance (capacity 12).
+  /// curb-sim maps --solver onto this.
   opt::CapSolverBackend op_solver = opt::CapSolverBackend::kDense;
   /// D_c,s threshold in milliseconds (kNoLimit disables [C1.3]).
   double max_cs_delay_ms = opt::CapInstance::kNoLimit;

@@ -372,8 +372,7 @@ std::optional<Assignment> repair_assign(const CapInstance& inst, const Assignmen
 }
 
 CapResult solve_cap(const CapInstance& inst, CapObjective objective,
-                    const Assignment* previous, const MilpOptions& milp_options,
-                    bool seed_incumbent_from_previous) {
+                    const Assignment* previous, const MilpOptions& milp_options) {
   inst.validate();
   if (objective == CapObjective::kLeastMovement && previous == nullptr) {
     throw std::invalid_argument{"solve_cap: LCR objective requires a previous assignment"};
@@ -424,8 +423,6 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
     if (static_cast<int>(terms.size()) < inst.group_size[i]) {
       // Not enough eligible controllers: trivially infeasible.
       CapResult r;
-      r.stats.backend =
-          milp_options.lp_backend == LpBackend::kSparse ? "sparse" : "dense";
       r.stats.wall_time_ms = 0.0;
       r.stats.proven = true;
       return r;
@@ -494,8 +491,6 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
     const int v = a_var[i][static_cast<std::size_t>(*leader)];
     if (v < 0) {
       CapResult r;  // leader not eligible: infeasible
-      r.stats.backend =
-          milp_options.lp_backend == LpBackend::kSparse ? "sparse" : "dense";
       r.stats.proven = true;
       return r;
     }
@@ -503,21 +498,10 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
   }
 
   // Warm start: repair the previous assignment for LCR, greedy otherwise.
-  // With seed_incumbent_from_previous, a kTrivial re-solve also repairs the
-  // previous assignment and keeps whichever incumbent scores better —
-  // reassignment instances barely move, so the repair usually wins.
   std::optional<Assignment> warm =
       (objective == CapObjective::kLeastMovement && previous != nullptr)
           ? repair_assign(inst, *previous)
           : greedy_assign(inst);
-  if (seed_incumbent_from_previous && objective == CapObjective::kTrivial &&
-      previous != nullptr) {
-    std::optional<Assignment> repaired = repair_assign(inst, *previous);
-    if (repaired &&
-        (!warm || repaired->controllers_used() < warm->controllers_used())) {
-      warm = std::move(repaired);
-    }
-  }
   MilpOptions options = milp_options;
   double warm_objective = 0.0;
   if (warm) {
@@ -545,11 +529,8 @@ CapResult solve_cap(const CapInstance& inst, CapObjective objective,
   const MilpSolution milp = solver.solve(options);
 
   CapResult result;
-  result.stats.backend =
-      milp_options.lp_backend == LpBackend::kSparse ? "sparse" : "dense";
   result.stats.milp_nodes = milp.nodes_explored;
   result.stats.lp_iterations = milp.lp_iterations;
-  result.stats.lp_warm_hits = milp.lp_warm_hits;
   result.stats.num_variables = binaries.size();
   result.stats.num_constraints = num_constraints;
   result.stats.proven = !milp.hit_node_limit && !milp.hit_time_limit;

@@ -160,8 +160,7 @@ bool try_close(Partition& p, std::size_t j, CapObjective objective,
 
 std::optional<Assignment> partition_assign(const CapInstance& inst,
                                            CapObjective objective,
-                                           const Assignment* previous,
-                                           const HeuristicOptions& options) {
+                                           const Assignment* previous) {
   inst.validate();
   if (objective == CapObjective::kLeastMovement && previous == nullptr) {
     throw std::invalid_argument{
@@ -231,7 +230,6 @@ std::optional<Assignment> partition_assign(const CapInstance& inst,
   // Open controllers until the partition covers every group. A controller is
   // opened by rank, except when the ranked pick cannot help any unfilled
   // switch — then the most helpful closed controller is taken instead.
-  std::size_t opened_iterations = 0;
   std::size_t next_rank = 0;
   while (!fill_open(p)) {
     std::size_t pick = c;
@@ -262,33 +260,26 @@ std::optional<Assignment> partition_assign(const CapInstance& inst,
     }
     if (pick == c) return std::nullopt;  // nothing left that helps: stuck
     p.open[pick] = true;
-    ++opened_iterations;
-    if (options.max_open_iterations != 0 &&
-        opened_iterations > options.max_open_iterations) {
-      return std::nullopt;
-    }
   }
 
-  if (options.close_pass) {
-    // Evict lightly-used controllers while any close improves the objective.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      std::vector<std::size_t> by_usage;
-      for (std::size_t j = 0; j < c; ++j) {
-        if (p.open[j] && p.out.controller_used(j)) by_usage.push_back(j);
-      }
-      std::sort(by_usage.begin(), by_usage.end(), [&](std::size_t a, std::size_t b) {
-        const std::size_t ua = p.out.switches_of(a).size();
-        const std::size_t ub = p.out.switches_of(b).size();
-        if (ua != ub) return ua < ub;
-        return a < b;
-      });
-      for (const std::size_t j : by_usage) {
-        if (try_close(p, j, objective, leader_pinned)) {
-          changed = true;
-          break;  // usage counts shifted; re-rank
-        }
+  // Evict lightly-used controllers while any close improves the objective.
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    std::vector<std::size_t> by_usage;
+    for (std::size_t j = 0; j < c; ++j) {
+      if (p.open[j] && p.out.controller_used(j)) by_usage.push_back(j);
+    }
+    std::sort(by_usage.begin(), by_usage.end(), [&](std::size_t a, std::size_t b) {
+      const std::size_t ua = p.out.switches_of(a).size();
+      const std::size_t ub = p.out.switches_of(b).size();
+      if (ua != ub) return ua < ub;
+      return a < b;
+    });
+    for (const std::size_t j : by_usage) {
+      if (try_close(p, j, objective, leader_pinned)) {
+        changed = true;
+        break;  // usage counts shifted; re-rank
       }
     }
   }

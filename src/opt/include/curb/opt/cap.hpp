@@ -95,13 +95,10 @@ class Assignment {
 enum class CapObjective { kTrivial, kLeastMovement };
 
 struct CapSolveStats {
-  /// Which backend produced the result ("dense", "sparse", "heuristic").
+  /// Which backend produced the result ("dense", "heuristic").
   std::string backend = "dense";
   std::size_t milp_nodes = 0;
   std::size_t lp_iterations = 0;
-  /// B&B nodes whose LP relaxation resumed from the cached parent basis
-  /// (sparse backend only).
-  std::size_t lp_warm_hits = 0;
   std::size_t num_variables = 0;
   std::size_t num_constraints = 0;
   double wall_time_ms = 0.0;
@@ -134,19 +131,12 @@ struct CapResult {
 /// Exact OP() solver: builds the MILP (with the standard linearisations of
 /// the quadratic C2C constraint and of the LCR |A - a| objective) and solves
 /// it by branch-and-bound, warm-started with the greedy heuristic.
-/// `previous` is required for CapObjective::kLeastMovement.
-///
-/// `seed_incumbent_from_previous` additionally repairs `previous` into a
-/// warm incumbent for kTrivial solves (reassignment is near-incremental by
-/// construction, so the repair usually dominates the greedy). Off by
-/// default: the incumbent influences which of several optimal assignments
-/// branch-and-bound returns, and the dense baseline path must stay
-/// byte-for-byte reproducible.
+/// `previous` is required for CapObjective::kLeastMovement; kTrivial
+/// results do not depend on it.
 [[nodiscard]] CapResult solve_cap(const CapInstance& instance,
                                   CapObjective objective = CapObjective::kTrivial,
                                   const Assignment* previous = nullptr,
-                                  const MilpOptions& milp_options = {},
-                                  bool seed_incumbent_from_previous = false);
+                                  const MilpOptions& milp_options = {});
 
 /// A proven lower bound on the controllers any feasible assignment uses
 /// (the kTrivial optimum), by counting alone: switch i needs B_i distinct

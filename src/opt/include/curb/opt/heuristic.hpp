@@ -1,22 +1,10 @@
 #pragma once
 
-#include <cstddef>
 #include <optional>
 
 #include "curb/opt/cap.hpp"
 
 namespace curb::opt {
-
-/// Knobs for the partition heuristic.
-struct HeuristicOptions {
-  /// After a feasible partition is found, try to close lightly-used
-  /// controllers by re-homing their switches onto the remaining open set
-  /// (applied only when it improves the objective). This is what pulls the
-  /// heuristic close to the exact optimum on TCR instances.
-  bool close_pass = true;
-  /// Safety valve for the open loop; 0 = open as many as it takes.
-  std::size_t max_open_iterations = 0;
-};
 
 /// LazyCtrl-style partition heuristic for the CAP. Instead of branching, it
 ///  (1) ranks controllers by attraction — how many switches count them among
@@ -24,8 +12,10 @@ struct HeuristicOptions {
 ///  (2) opens a minimal prefix and partitions every switch onto its B_i
 ///      nearest open eligible controllers, capacity permitting, opening the
 ///      next-ranked controller whenever the partition gets stuck, and
-///  (3) optionally runs a closing pass that evicts lightly-used controllers
-///      whose switches can be re-homed at an objective improvement.
+///  (3) runs a closing pass that evicts lightly-used controllers whose
+///      switches can be re-homed onto the remaining open set at an objective
+///      improvement — this is what pulls it close to the exact optimum on
+///      TCR instances.
 ///
 /// For CapObjective::kLeastMovement, `previous` links that are still legal
 /// are kept first and only the shortfall is partitioned, so reassignment is
@@ -39,6 +29,6 @@ struct HeuristicOptions {
 /// enough to solve exactly.
 [[nodiscard]] std::optional<Assignment> partition_assign(
     const CapInstance& instance, CapObjective objective = CapObjective::kTrivial,
-    const Assignment* previous = nullptr, const HeuristicOptions& options = {});
+    const Assignment* previous = nullptr);
 
 }  // namespace curb::opt

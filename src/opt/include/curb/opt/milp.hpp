@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -16,26 +15,12 @@ struct MilpSolution {
   std::vector<double> values;
   std::size_t nodes_explored = 0;
   std::size_t lp_iterations = 0;
-  /// Nodes whose LP relaxation resumed from the cached parent basis without
-  /// a phase-1 pass (sparse backend only; the dense tableau is stateless).
-  std::size_t lp_warm_hits = 0;
   bool hit_node_limit = false;
   bool hit_time_limit = false;
 };
 
-/// Which simplex implementation solves the node relaxations.
-enum class LpBackend : std::uint8_t {
-  /// Dense two-phase tableau (lp.cpp). O(m * (n + 2m)) per pivot and the
-  /// whole tableau in memory — the right choice only at paper scale.
-  kDense,
-  /// Sparse revised simplex (sparse_lp.hpp) with a persistent basis shared
-  /// across branch-and-bound nodes, so most child nodes skip phase 1.
-  kSparse,
-};
-
 struct MilpOptions {
   std::size_t max_nodes = 200'000;
-  std::size_t max_lp_iterations_per_node = 50'000;
   /// Wall-clock budget in milliseconds (0 = unlimited). When exceeded the
   /// search stops and returns the incumbent found so far.
   double max_wall_ms = 0.0;
@@ -52,19 +37,15 @@ struct MilpOptions {
   /// result then counts as proven (no limit flag is set). Must truly bound
   /// the optimum from below, or the returned solution may not be optimal.
   std::optional<double> lower_bound;
-  /// When all objective coefficients are integral, bounds can be rounded up
-  /// before pruning, cutting the tree substantially. Detected automatically;
-  /// this flag force-disables the optimization.
-  bool assume_integral_objective = true;
-  /// Simplex implementation for the node relaxations.
-  LpBackend lp_backend = LpBackend::kDense;
 };
 
 /// Branch-and-bound over LP relaxations for problems whose integer
 /// variables are binary (0/1) — which covers every OP() program in the
-/// paper (A_ij and x_j are all binary). Branching fixes a fractional
+/// paper (A_ij and x_j are all binary). Each node's relaxation is solved by
+/// the dense tableau simplex (lp.hpp). Branching fixes a fractional
 /// variable to 0 / 1 via bounds; pure depth-first search, the child that
-/// rounds toward the LP value first.
+/// rounds toward the LP value first. When every objective coefficient is
+/// integral, node bounds are rounded up before pruning.
 class MilpSolver {
  public:
   explicit MilpSolver(LpProblem problem) : problem_{std::move(problem)} {}

@@ -1,23 +1,19 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string_view>
 
 #include "curb/opt/cap.hpp"
-#include "curb/opt/heuristic.hpp"
 
 namespace curb::opt {
 
-/// Interchangeable CAP solver backends (DESIGN.md §12).
+/// CAP solver backends (DESIGN.md §12).
 enum class CapSolverBackend : std::uint8_t {
-  /// Exact branch-and-bound over the dense-tableau simplex — the original
-  /// paper-scale path and the byte-stable default for simulations.
+  /// Exact branch-and-bound over the dense-tableau simplex (solve_cap) —
+  /// the one exact OP() path and the byte-stable default for simulations.
   kDense,
-  /// Exact branch-and-bound over the sparse revised simplex with a warm
-  /// basis shared across nodes and incumbent seeding from the previous
-  /// assignment. Objective-identical to kDense, scales far past Internet2.
-  kSparse,
   /// Partition-based grouping heuristic (LazyCtrl-style). No optimality
   /// proof; solves 1000 switches x 100 controllers in milliseconds.
   kHeuristic,
@@ -26,35 +22,29 @@ enum class CapSolverBackend : std::uint8_t {
 [[nodiscard]] constexpr const char* to_string(CapSolverBackend b) {
   switch (b) {
     case CapSolverBackend::kDense: return "dense";
-    case CapSolverBackend::kSparse: return "sparse";
     case CapSolverBackend::kHeuristic: return "heuristic";
   }
   return "?";
 }
 
-/// Parses "dense" | "sparse" | "heuristic" (as accepted by curb-sim
-/// --solver and the CURB_SOLVER env var); nullopt on anything else.
+/// Parses "dense" | "heuristic" (as accepted by curb-sim --solver and the
+/// CURB_SOLVER env var); nullopt on anything else.
 [[nodiscard]] std::optional<CapSolverBackend> parse_cap_solver_backend(
     std::string_view name);
 
 struct CapSolverOptions {
-  /// Branch-and-bound limits for the exact backends. lp_backend is
-  /// overridden per concrete solver; leave it defaulted.
+  /// Branch-and-bound limits for the dense backend.
   MilpOptions milp;
-  /// Heuristic backend knobs.
-  HeuristicOptions heuristic;
-  /// Cache the last feasible assignment inside the solver and use it as the
-  /// warm start when the caller passes no `previous`. Lets a long-lived
-  /// solver make successive reassignments near-incremental without the
-  /// caller threading state. The dense backend ignores the cache for
-  /// kTrivial solves (incumbent choice would perturb the byte-stable
-  /// baseline path).
+  /// Cache the last feasible assignment inside the solver and pass it as
+  /// `previous` when the caller passes none. No backend reads `previous` on
+  /// a kTrivial solve, and every kLeastMovement caller passes its own, so
+  /// the cache currently feeds nothing (ROADMAP item 1 drops it).
   bool reuse_last_assignment = true;
 };
 
-/// Common interface over the interchangeable backends. Stateful on purpose:
-/// a Curb leader keeps one solver alive across OP() invocations so warm
-/// starts compound.
+/// Common interface over the backends. A Curb network keeps one solver
+/// alive across OP() invocations; its only state is the cached assignment
+/// behind CapSolverOptions::reuse_last_assignment.
 class CapSolver {
  public:
   virtual ~CapSolver() = default;
@@ -68,12 +58,6 @@ class CapSolver {
   [[nodiscard]] CapResult solve(const CapInstance& instance,
                                 CapObjective objective = CapObjective::kTrivial,
                                 const Assignment* previous = nullptr);
-
-  /// Drop the cached warm-start assignment.
-  void reset() { last_.reset(); }
-  [[nodiscard]] const std::optional<Assignment>& last_assignment() const {
-    return last_;
-  }
 
  protected:
   explicit CapSolver(CapSolverOptions options) : options_{std::move(options)} {}
@@ -98,7 +82,7 @@ class CapSolver {
                                        const MilpOptions& milp_options = {});
 
 /// Optimality gap of `achieved_objective` versus the exact optimum of
-/// `instance` (solved with the sparse exact backend): (achieved - opt) /
+/// `instance` (solved with the dense backend): (achieved - opt) /
 /// max(opt, 1). Returns nullopt when the exact solve fails to prove an
 /// optimum within `milp_options` limits. Intended for instances small
 /// enough to solve exactly — this is how the heuristic backend's quality is

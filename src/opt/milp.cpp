@@ -2,19 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "curb/opt/sparse_lp.hpp"
 #include "curb/prof/profiler.hpp"
 
 namespace curb::opt {
 
 namespace {
 constexpr double kIntEps = 1e-6;
+/// Pivot cap per node relaxation; a node that reaches it is pruned like an
+/// infeasible one.
+constexpr std::size_t kMaxLpIterationsPerNode = 50'000;
 
 [[nodiscard]] bool is_integral(double v) { return std::abs(v - std::round(v)) <= kIntEps; }
 }  // namespace
@@ -47,7 +46,7 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
   best.status = LpStatus::kInfeasible;
   double incumbent = options.incumbent_objective.value_or(LpProblem::kInf);
 
-  const bool integral_objective = options.assume_integral_objective && [&] {
+  const bool integral_objective = [&] {
     for (std::size_t j = 0; j < problem_.num_variables(); ++j) {
       if (!is_integral(problem_.cost(static_cast<int>(j)))) return false;
     }
@@ -64,30 +63,6 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
   MilpSolution stats;
   const prof::Scope scope{"solver.milp"};
   prof::StopWatch sw;
-  // The sparse solver persists across nodes: the constraint matrix is
-  // factored once, and each node's relaxation warm-starts from the basis
-  // the previous node left behind (only variable bounds change between
-  // nodes). The dense tableau solver is stateless per call.
-  std::unique_ptr<SparseLpSolver> sparse;
-  if (options.lp_backend == LpBackend::kSparse) {
-    sparse = std::make_unique<SparseLpSolver>(problem_);
-  }
-  const auto solve_relaxation = [&](std::size_t max_iterations) {
-    if (sparse == nullptr) return solve_lp(problem_, max_iterations);
-    LpSolution s = sparse->solve(max_iterations);
-    if (std::getenv("CURB_LP_DIFF") != nullptr) {
-      LpSolution d = solve_lp(problem_, max_iterations);
-      if (d.status != s.status ||
-          (d.status == LpStatus::kOptimal &&
-           std::abs(d.objective - s.objective) > 1e-6)) {
-        std::fprintf(stderr,
-                     "LP DIFF node=%zu sparse={%d %.9f} dense={%d %.9f}\n",
-                     stats.nodes_explored, static_cast<int>(s.status), s.objective,
-                     static_cast<int>(d.status), d.objective);
-      }
-    }
-    return s;
-  };
   // Once the incumbent meets a proven lower bound nothing strictly better
   // exists, so the rest of the tree could only be pruned.
   const double lower_bound = options.lower_bound.value_or(-LpProblem::kInf);
@@ -118,7 +93,7 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
     }
 
     LpSolution relax;
-    if (!conflict) relax = solve_relaxation(options.max_lp_iterations_per_node);
+    if (!conflict) relax = solve_lp(problem_, kMaxLpIterationsPerNode);
     for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
       problem_.set_bounds(it->first, it->second.first, it->second.second);
     }
@@ -186,7 +161,6 @@ MilpSolution MilpSolver::solve(const MilpOptions& options) {
 
   best.nodes_explored = stats.nodes_explored;
   best.lp_iterations = stats.lp_iterations;
-  if (sparse != nullptr) best.lp_warm_hits = sparse->warm_hits();
   return best;
 }
 

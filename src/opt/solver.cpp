@@ -4,13 +4,13 @@
 #include <stdexcept>
 #include <utility>
 
+#include "curb/opt/heuristic.hpp"
 #include "curb/prof/profiler.hpp"
 
 namespace curb::opt {
 
 std::optional<CapSolverBackend> parse_cap_solver_backend(std::string_view name) {
   if (name == "dense") return CapSolverBackend::kDense;
-  if (name == "sparse") return CapSolverBackend::kSparse;
   if (name == "heuristic") return CapSolverBackend::kHeuristic;
   return std::nullopt;
 }
@@ -31,9 +31,7 @@ namespace {
 
 class DenseCapSolver final : public CapSolver {
  public:
-  explicit DenseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {
-    options_.milp.lp_backend = LpBackend::kDense;
-  }
+  explicit DenseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {}
   [[nodiscard]] CapSolverBackend backend() const override {
     return CapSolverBackend::kDense;
   }
@@ -41,28 +39,7 @@ class DenseCapSolver final : public CapSolver {
  protected:
   CapResult do_solve(const CapInstance& instance, CapObjective objective,
                      const Assignment* previous) override {
-    // seed_incumbent_from_previous stays off: the incumbent influences which
-    // of several optimal assignments branch-and-bound returns, and the dense
-    // path is the byte-stable baseline for same-seed simulation runs.
-    return solve_cap(instance, objective, previous, options_.milp,
-                     /*seed_incumbent_from_previous=*/false);
-  }
-};
-
-class SparseCapSolver final : public CapSolver {
- public:
-  explicit SparseCapSolver(CapSolverOptions options) : CapSolver{std::move(options)} {
-    options_.milp.lp_backend = LpBackend::kSparse;
-  }
-  [[nodiscard]] CapSolverBackend backend() const override {
-    return CapSolverBackend::kSparse;
-  }
-
- protected:
-  CapResult do_solve(const CapInstance& instance, CapObjective objective,
-                     const Assignment* previous) override {
-    return solve_cap(instance, objective, previous, options_.milp,
-                     /*seed_incumbent_from_previous=*/true);
+    return solve_cap(instance, objective, previous, options_.milp);
   }
 };
 
@@ -82,10 +59,10 @@ class HeuristicCapSolver final : public CapSolver {
     result.stats.backend = "heuristic";
 
     std::optional<Assignment> assignment =
-        partition_assign(instance, objective, previous, options_.heuristic);
+        partition_assign(instance, objective, previous);
     if (!assignment) {
       // The partition can get stuck on feasible instances; fall back to the
-      // exact solvers' construction heuristics before giving up.
+      // dense backend's construction heuristics before giving up.
       assignment = (objective == CapObjective::kLeastMovement && previous != nullptr)
                        ? repair_assign(instance, *previous)
                        : greedy_assign(instance);
@@ -110,8 +87,6 @@ std::unique_ptr<CapSolver> make_cap_solver(CapSolverBackend backend,
   switch (backend) {
     case CapSolverBackend::kDense:
       return std::make_unique<DenseCapSolver>(std::move(options));
-    case CapSolverBackend::kSparse:
-      return std::make_unique<SparseCapSolver>(std::move(options));
     case CapSolverBackend::kHeuristic:
       return std::make_unique<HeuristicCapSolver>(std::move(options));
   }
@@ -135,7 +110,7 @@ std::optional<double> optimality_gap(const CapInstance& instance,
                                      const Assignment* previous,
                                      double achieved_objective,
                                      const MilpOptions& milp_options) {
-  const CapResult exact = solve_cap_with(CapSolverBackend::kSparse, instance,
+  const CapResult exact = solve_cap_with(CapSolverBackend::kDense, instance,
                                          objective, previous, milp_options);
   if (!exact.feasible || !exact.stats.proven) return std::nullopt;
   const double opt = exact.objective;

@@ -73,7 +73,7 @@ TEST(EnvTest, CleanEnvironmentApplies) {
 TEST(EnvTest, RejectsUnknownSolver) {
   ScopedEnv env;
   const std::string error = expect_rejected(env, "CURB_SOLVER", "quantum");
-  EXPECT_NE(error.find("dense|sparse|heuristic"), std::string::npos) << error;
+  EXPECT_NE(error.find("dense|heuristic"), std::string::npos) << error;
 }
 
 TEST(EnvTest, RejectsMalformedFaultSeed) {
@@ -110,13 +110,14 @@ TEST(EnvTest, RejectsEmptyOrMalformedSloRule) {
 TEST(EnvTest, AcceptsWellFormedValues) {
   ScopedEnv env;
   for (const EnvVar& var : curb_env_vars()) env.unset(var.name);
-  env.set("CURB_SOLVER", "sparse");
+  env.set("CURB_SOLVER", "heuristic");
   env.set("CURB_FAULT_SEED", "42");
   env.set("CURB_TS_WINDOW", "250");
   env.set("CURB_TS_RETENTION", "16");
   CurbOptions opts;
   std::string error;
   ASSERT_TRUE(apply_env_to_options(opts, &error)) << error;
+  EXPECT_EQ(opts.op_solver, opt::CapSolverBackend::kHeuristic);
   EXPECT_EQ(opts.fault_seed, 42u);
   EXPECT_EQ(opts.ts_window, sim::SimTime::millis(250));
   EXPECT_EQ(opts.ts_retention, 16u);

@@ -1,6 +1,6 @@
 // Golden corpus: committed CAP instances with exact optima proven by
 // `curb-capgen --prove` at generation time. Every backend re-solves each of
-// them on every run; the exact backends must reproduce the recorded optimum
+// them on every run; the dense backend must reproduce the recorded optimum
 // bit-for-bit, and the heuristic must stay feasible within its gap bound.
 // Regenerate an instance with
 //   curb-capgen --switches N --controllers M --seed S --prove --out FILE
@@ -43,16 +43,14 @@ TEST(SolverCorpus, ExactBackendsReproduceKnownOptima) {
     const StoredInstance stored = load_instance(path);
     ASSERT_TRUE(stored.feasible) << "corpus entries must record feasibility";
 
-    for (const CapSolverBackend backend :
-         {CapSolverBackend::kDense, CapSolverBackend::kSparse}) {
-      SCOPED_TRACE(to_string(backend));
-      const CapResult r = solve_cap_with(backend, stored.instance);
-      EXPECT_EQ(r.feasible, *stored.feasible);
-      if (r.feasible) {
-        EXPECT_TRUE(r.assignment.feasible_for(stored.instance));
-        if (stored.tcr_optimum) {
-          EXPECT_DOUBLE_EQ(r.objective, *stored.tcr_optimum);
-        }
+    const CapResult r = solve_cap_with(CapSolverBackend::kDense, stored.instance);
+    EXPECT_EQ(r.feasible, *stored.feasible);
+    // Every entry was proven at generation time; dense must prove it too.
+    EXPECT_TRUE(r.stats.proven);
+    if (r.feasible) {
+      EXPECT_TRUE(r.assignment.feasible_for(stored.instance));
+      if (stored.tcr_optimum) {
+        EXPECT_DOUBLE_EQ(r.objective, *stored.tcr_optimum);
       }
     }
   }

@@ -1,8 +1,8 @@
-// Differential solver-backend harness: every backend solves the same seeded
-// random instances and the results are cross-checked — the exact backends
-// must agree with each other exactly, and the heuristic must stay feasible
-// and within a bounded gap. A failing instance is dumped as JSON into
-// CURB_FUZZ_DIR (default fuzz-failures/) so CI can upload it and
+// Differential solver harness. The dense backend, the one exact OP() path,
+// is held to an exhaustive oracle on instances small enough to enumerate;
+// the heuristic is held to dense on a seeded random sweep, where it must
+// stay feasible and within a bounded gap. A failing instance is dumped as
+// JSON into CURB_FUZZ_DIR (default fuzz-failures/) so CI can upload it and
 // `curb-capgen --in <file> --solve` can replay it.
 
 #include "curb/opt/solver.hpp"
@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <optional>
@@ -19,7 +21,7 @@
 
 #include "curb/opt/instance_gen.hpp"
 #include "curb/opt/instance_io.hpp"
-#include "curb/opt/sparse_lp.hpp"
+#include "curb/sim/rng.hpp"
 
 namespace curb::opt {
 namespace {
@@ -103,27 +105,11 @@ TEST(SolverDifferential, BackendsAgreeOnTcr) {
     SCOPED_TRACE(name);
 
     const CapResult dense = solve_cap_with(CapSolverBackend::kDense, inst);
-    const CapResult sparse = solve_cap_with(CapSolverBackend::kSparse, inst);
     const CapResult heur = solve_cap_with(CapSolverBackend::kHeuristic, inst);
-
-    // The exact backends must agree on feasibility and on the optimum.
-    if (dense.feasible != sparse.feasible) {
-      dump_failure(inst, "tcr-feas-" + name);
-      FAIL() << "dense feasible=" << dense.feasible
-             << " but sparse feasible=" << sparse.feasible;
-    }
-    if (dense.feasible && std::abs(dense.objective - sparse.objective) > 1e-6) {
-      dump_failure(inst, "tcr-obj-" + name);
-      FAIL() << "dense objective=" << dense.objective
-             << " != sparse objective=" << sparse.objective;
-    }
 
     // Every returned assignment must satisfy every constraint.
     if (dense.feasible) {
       EXPECT_TRUE(dense.assignment.feasible_for(inst));
-    }
-    if (sparse.feasible) {
-      EXPECT_TRUE(sparse.assignment.feasible_for(inst));
     }
     if (heur.feasible) {
       EXPECT_TRUE(heur.assignment.feasible_for(inst));
@@ -233,21 +219,9 @@ TEST(SolverDifferential, BackendsAgreeOnLcrReassignment) {
     const Assignment* prev = &start.assignment;
     const CapResult dense =
         solve_cap_with(CapSolverBackend::kDense, reass, CapObjective::kLeastMovement, prev);
-    const CapResult sparse = solve_cap_with(CapSolverBackend::kSparse, reass,
-                                            CapObjective::kLeastMovement, prev);
     const CapResult heur = solve_cap_with(CapSolverBackend::kHeuristic, reass,
                                           CapObjective::kLeastMovement, prev);
 
-    if (dense.feasible != sparse.feasible) {
-      dump_failure(reass, "lcr-feas-" + name);
-      FAIL() << "LCR: dense feasible=" << dense.feasible
-             << " but sparse feasible=" << sparse.feasible;
-    }
-    if (dense.feasible && std::abs(dense.objective - sparse.objective) > 1e-6) {
-      dump_failure(reass, "lcr-obj-" + name);
-      FAIL() << "LCR: dense objective=" << dense.objective
-             << " != sparse objective=" << sparse.objective;
-    }
     if (dense.feasible) {
       EXPECT_TRUE(dense.assignment.feasible_for(reass));
       // The MILP objective and the direct recount must agree.
@@ -283,8 +257,7 @@ TEST(SolverDifferential, EveryBackendIsDeterministic) {
   ASSERT_EQ(a.controller_capacity, b.controller_capacity);
 
   for (const CapSolverBackend backend :
-       {CapSolverBackend::kDense, CapSolverBackend::kSparse,
-        CapSolverBackend::kHeuristic}) {
+       {CapSolverBackend::kDense, CapSolverBackend::kHeuristic}) {
     SCOPED_TRACE(to_string(backend));
     const CapResult first = solve_cap_with(backend, a);
     const CapResult second = solve_cap_with(backend, b);
@@ -296,93 +269,196 @@ TEST(SolverDifferential, EveryBackendIsDeterministic) {
   }
 }
 
-TEST(SolverDifferential, PersistentSparseSolverWarmStartsStayExact) {
-  GenProfile profile;
-  profile.switches = 20;
-  profile.controllers = 8;
-  profile.cs_delay_cap = true;
-  profile.seed = 41;
-  const CapInstance inst = generate_instance(profile);
+// --- Exhaustive oracle ---------------------------------------------------
+// Ground truth for the dense backend that shares no code with solve_cap: no
+// LP, no warm start, no counting bound, no branch-and-bound. It tries every
+// assignment of an instance small enough to enumerate and keeps the least
+// cap_objective_value among those Assignment::feasible_for accepts.
 
-  CapSolverOptions options;
-  auto solver = make_cap_solver(CapSolverBackend::kSparse, options);
-  const CapResult cold = solver->solve(inst);
-  ASSERT_TRUE(cold.feasible);
-  EXPECT_EQ(cold.stats.backend, "sparse");
-
-  // Successive byzantine exclusions, each warm-started from the last result
-  // via the solver's cached assignment. Every solve must still match the
-  // from-scratch dense optimum.
-  CapInstance current = inst;
-  current.byzantine.assign(inst.num_controllers, false);
-  std::size_t flagged = 0;
-  for (std::size_t j = 0; j < inst.num_controllers && flagged < 2; ++j) {
-    if (!cold.assignment.controller_used(j)) continue;
-    current.byzantine[j] = true;
-    ++flagged;
-    const CapResult warm = solver->solve(current);
-    const CapResult reference = solve_cap_with(CapSolverBackend::kDense, current);
-    ASSERT_EQ(warm.feasible, reference.feasible);
-    if (warm.feasible) {
-      EXPECT_TRUE(warm.assignment.feasible_for(current));
-      EXPECT_NEAR(warm.objective, reference.objective, 1e-6);
-    }
+/// Every subset of `controllers` controllers, as a bitmask, with exactly
+/// `size` members, or (unless `exact`) more.
+[[nodiscard]] std::vector<std::uint32_t> groups_of_size(std::size_t controllers, int size,
+                                                       bool exact) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t mask = 0; mask < (1U << controllers); ++mask) {
+    const int members = std::popcount(mask);
+    if (members == size || (!exact && members > size)) out.push_back(mask);
   }
+  return out;
 }
 
-TEST(SolverDifferential, SparseLpMatchesDenseOnCapRelaxations) {
-  // LP-level differential: the raw relaxation objective (before any
-  // branching) must agree between the dense tableau and the sparse revised
-  // simplex on every sweep instance. This isolates simplex bugs from B&B
-  // bugs when the CAP-level differential fails.
-  for (const GenProfile& profile : sweep_profiles()) {
-    const CapInstance inst = generate_instance(profile);
-    SCOPED_TRACE(profile_name(profile));
-
-    LpProblem lp;
-    std::vector<std::vector<int>> a_var(inst.num_switches,
-                                        std::vector<int>(inst.num_controllers, -1));
+class ExhaustiveOracle {
+ public:
+  /// A kTrivial search tries only groups of exactly B_i: dropping a surplus
+  /// non-leader link from a feasible group keeps every constraint and never
+  /// adds a controller, so some optimum has only exact-size groups. The LCR
+  /// objective can pay for a surplus link (one `previous` already had), so a
+  /// kLeastMovement search tries every group of at least B_i.
+  ExhaustiveOracle(const CapInstance& inst, CapObjective objective,
+                   const Assignment* previous)
+      : inst_{inst},
+        objective_{objective},
+        previous_{previous},
+        current_{inst.num_switches, inst.num_controllers},
+        load_(inst.num_switches + 1, std::vector<double>(inst.num_controllers, 0.0)) {
     for (std::size_t i = 0; i < inst.num_switches; ++i) {
-      for (std::size_t j = 0; j < inst.num_controllers; ++j) {
-        const bool byz = !inst.byzantine.empty() && inst.byzantine[j];
-        const bool far = inst.max_cs_delay != CapInstance::kNoLimit &&
-                         inst.cs_delay[i][j] > inst.max_cs_delay;
-        if (byz || far) continue;
-        a_var[i][j] = lp.add_variable(static_cast<double>(i % 3) * 0.25 + 0.5, 0.0, 1.0);
-      }
-    }
-    bool feasible_candidate = true;
-    for (std::size_t i = 0; i < inst.num_switches; ++i) {
-      std::vector<std::pair<int, double>> terms;
-      for (std::size_t j = 0; j < inst.num_controllers; ++j) {
-        if (a_var[i][j] >= 0) terms.push_back({a_var[i][j], 1.0});
-      }
-      if (terms.size() < static_cast<std::size_t>(inst.group_size[i])) {
-        feasible_candidate = false;
-        break;
-      }
-      lp.add_constraint(std::move(terms), LpProblem::Sense::kGe,
-                        static_cast<double>(inst.group_size[i]));
-    }
-    if (!feasible_candidate) continue;
-    for (std::size_t j = 0; j < inst.num_controllers; ++j) {
-      std::vector<std::pair<int, double>> terms;
-      for (std::size_t i = 0; i < inst.num_switches; ++i) {
-        if (a_var[i][j] >= 0) terms.push_back({a_var[i][j], inst.switch_load[i]});
-      }
-      if (!terms.empty()) {
-        lp.add_constraint(std::move(terms), LpProblem::Sense::kLe,
-                          inst.controller_capacity[j]);
-      }
-    }
-
-    const LpSolution dense = solve_lp(lp);
-    const LpSolution sparse = solve_lp_sparse(lp);
-    ASSERT_EQ(dense.status, sparse.status);
-    if (dense.status == LpStatus::kOptimal) {
-      EXPECT_NEAR(dense.objective, sparse.objective, 1e-6);
+      candidates_.push_back(groups_of_size(inst.num_controllers, inst.group_size[i],
+                                           objective == CapObjective::kTrivial));
     }
   }
+
+  /// The least objective of any feasible assignment; nullopt if none is.
+  [[nodiscard]] std::optional<double> minimum() {
+    place(0);
+    return best_;
+  }
+
+ private:
+  /// Tries every candidate group for switch `sw` on top of the groups
+  /// already placed for switches [0, sw).
+  void place(std::size_t sw) {
+    if (sw == inst_.num_switches) {
+      const double value = cap_objective_value(current_, objective_, previous_);
+      if ((!best_ || value < *best_) && current_.feasible_for(inst_)) best_ = value;
+      return;
+    }
+    for (const std::uint32_t mask : candidates_[sw]) {
+      // Loads only grow as switches are placed, so a controller already over
+      // capacity rules out every completion. The 1e-6 slack is looser than
+      // feasible_for's, so this never drops an assignment it would accept.
+      std::vector<double>& load = load_[sw + 1];
+      load = load_[sw];
+      bool fits = true;
+      for (std::size_t j = 0; j < inst_.num_controllers; ++j) {
+        const bool member = ((mask >> j) & 1U) != 0;
+        current_.set(sw, j, member);
+        if (member) load[j] += inst_.switch_load[sw];
+        fits = fits && load[j] <= inst_.controller_capacity[j] + 1e-6;
+      }
+      if (fits) place(sw + 1);
+    }
+  }
+
+  const CapInstance& inst_;
+  CapObjective objective_;
+  const Assignment* previous_;
+  std::vector<std::vector<std::uint32_t>> candidates_;
+  Assignment current_;
+  /// load_[k][j]: controller j's load from the groups of switches [0, k).
+  std::vector<std::vector<double>> load_;
+  std::optional<double> best_;
+};
+
+struct OracleCase {
+  CapInstance inst;
+  std::string name;
+  std::uint64_t seed = 0;  // also seeds the LCR `previous`
+};
+
+/// Instances small enough to enumerate, each constraint family on its own
+/// plus tight and starved capacity: 4 switches with B_i = 1 on 4-6
+/// controllers, and 3 switches with B_i = 4 on 5-6 (4 would admit one group).
+[[nodiscard]] std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> out;
+  for (const std::uint64_t round : {1ULL, 2ULL}) {
+    for (const int f : {0, 1}) {
+      for (const std::size_t controllers : {4U, 5U, 6U}) {
+        if (f == 1 && controllers == 4) continue;
+        GenProfile base;
+        base.switches = f == 0 ? 4 : 3;
+        base.controllers = controllers;
+        base.faults_tolerated = f;
+        base.capacity_slack = 2.0;
+        base.seed = round * 100 + controllers * 10 + static_cast<std::uint64_t>(f);
+        const std::string size = "s" + std::to_string(base.switches) + "-c" +
+                                 std::to_string(controllers) + "-f" + std::to_string(f) +
+                                 "-seed" + std::to_string(base.seed);
+        const auto add = [&](const GenProfile& p, const std::string& variant) {
+          out.push_back({generate_instance(p), size + variant, p.seed});
+        };
+        add(base, "");
+        GenProfile p = base;
+        if (f == 0) {
+          // The generator's delay cap keeps B_i + 2 eligible controllers per
+          // switch, so it only binds here.
+          p.cs_delay_cap = true;
+          add(p, "-dcs");
+        } else {
+          // C2C pairs only bind groups of two or more. The generator's cap
+          // rarely binds on so few controllers; half the square's side does.
+          p.cc_delay_cap = true;
+          add(p, "-dcc");
+          out.back().inst.max_cc_delay = 50.0;
+        }
+        p = base;
+        p.byzantine_frac = 0.34;
+        add(p, "-byz");
+        p = base;
+        p.fixed_leader_frac = 0.5;
+        add(p, "-lead");
+        p = base;
+        p.capacity_slack = f == 0 ? 1.5 : 1.2;
+        add(p, "-tight");
+        p = base;
+        p.capacity_slack = 0.6;
+        add(p, "-starved");
+      }
+    }
+  }
+  return out;
+}
+
+/// A seeded random previous assignment for the LCR objective: any link may
+/// be present, including ones the instance now forbids.
+[[nodiscard]] Assignment random_assignment(const CapInstance& inst, std::uint64_t seed) {
+  sim::Rng rng{seed};
+  Assignment out{inst.num_switches, inst.num_controllers};
+  for (std::size_t i = 0; i < inst.num_switches; ++i) {
+    for (std::size_t j = 0; j < inst.num_controllers; ++j) out.set(i, j, rng.next_bool());
+  }
+  return out;
+}
+
+TEST(SolverOracle, DenseMatchesExhaustiveSearch) {
+  std::size_t solves = 0;
+  std::size_t searched = 0;  // solves that explored a branch-and-bound node
+  std::size_t feasible = 0;
+  for (const auto& [inst, name, seed] : oracle_cases()) {
+    const Assignment previous = random_assignment(inst, seed);
+    for (const CapObjective objective :
+         {CapObjective::kTrivial, CapObjective::kLeastMovement}) {
+      const bool lcr = objective == CapObjective::kLeastMovement;
+      const std::string label = (lcr ? "oracle-lcr-" : "oracle-tcr-") + name;
+      SCOPED_TRACE(label);
+      const Assignment* prev = lcr ? &previous : nullptr;
+      const std::optional<double> truth = ExhaustiveOracle{inst, objective, prev}.minimum();
+      const CapResult dense = solve_cap_with(CapSolverBackend::kDense, inst, objective, prev);
+      ++solves;
+      searched += dense.stats.milp_nodes > 0 ? 1 : 0;
+      EXPECT_TRUE(dense.stats.proven);
+      if (dense.feasible != truth.has_value()) {
+        dump_failure(inst, label);
+        ADD_FAILURE() << "dense feasible=" << dense.feasible
+                      << " but exhaustive search feasible=" << truth.has_value();
+        continue;
+      }
+      if (!truth) continue;
+      ++feasible;
+      EXPECT_TRUE(dense.assignment.feasible_for(inst));
+      EXPECT_NEAR(cap_objective_value(dense.assignment, objective, prev), dense.objective,
+                  1e-6);
+      if (std::abs(dense.objective - *truth) > 1e-6) {
+        dump_failure(inst, label);
+        ADD_FAILURE() << "dense objective=" << dense.objective
+                      << " != exhaustive minimum=" << *truth;
+      }
+    }
+  }
+  // The oracle only has teeth where branch-and-bound does the work: a solve
+  // that ends at the warm start never reaches the LP.
+  EXPECT_GE(solves, 100U);
+  EXPECT_GE(3 * searched, 2 * solves) << searched << " of " << solves;
+  EXPECT_GE(2 * feasible, solves) << feasible << " of " << solves;
 }
 
 }  // namespace

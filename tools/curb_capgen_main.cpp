@@ -11,8 +11,9 @@
 //     --in FILE                     (load instead of generating)
 //     --out FILE                    (write the instance JSON)
 //     --solve                       (solve and print one summary line)
-//     --backend dense|sparse|heuristic (default sparse)
-//     --wall-ms MS                  (MILP wall-clock budget; 0 = unlimited)
+//     --backend dense|heuristic     (default dense)
+//     --wall-ms MS                  (MILP wall-clock budget, a non-negative
+//                                    number; 0 = unlimited)
 //     --prove                       (record the exact optimum / feasibility in
 //                                    the written JSON — this is how the golden
 //                                    corpus under tests/opt/corpus is made;
@@ -22,11 +23,18 @@
 // Examples:
 //   curb-capgen --switches 500 --controllers 50 --backend heuristic --solve
 //   curb-capgen --switches 10 --controllers 5 --seed 3 --prove --out c.json
+//
+// A numeric flag whose value is not entirely a number of the flag's type
+// (say "--switches abc" or "--wall-ms 0.5x") prints the usage text and
+// exits 2.
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "curb/opt/instance_gen.hpp"
 #include "curb/opt/instance_io.hpp"
@@ -39,9 +47,25 @@ namespace {
                "usage: %s [--switches N] [--controllers M] [--f F] [--slack X]\n"
                "          [--dcs] [--dcc] [--byzantine FRAC] [--leaders FRAC]\n"
                "          [--seed S] [--in FILE] [--out FILE] [--solve]\n"
-               "          [--backend dense|sparse|heuristic] [--wall-ms MS] [--prove]\n",
+               "          [--backend dense|heuristic] [--wall-ms MS] [--prove]\n",
                argv0);
   std::exit(2);
+}
+
+/// The whole of `text` as a T; anything else (trailing characters, a sign on
+/// an unsigned flag, overflow, a non-finite double) is a usage error.
+template <typename T>
+T parse_number(const char* argv0, const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    std::fprintf(stderr, "curb-capgen: bad %s value '%s'\n", flag.c_str(), text);
+    usage(argv0);
+  }
+  return value;
 }
 
 }  // namespace
@@ -50,7 +74,7 @@ int main(int argc, char** argv) {
   curb::opt::GenProfile profile;
   std::string in_path;
   std::string out_path;
-  std::string backend_name = "sparse";
+  std::string backend_name = "dense";
   bool solve = false;
   bool prove = false;
   curb::opt::MilpOptions milp;
@@ -61,20 +85,27 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    if (arg == "--switches") profile.switches = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--controllers") profile.controllers = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--f") profile.faults_tolerated = static_cast<int>(std::strtol(value(), nullptr, 10));
-    else if (arg == "--slack") profile.capacity_slack = std::strtod(value(), nullptr);
+    auto number = [&]<typename T>(T& out) { out = parse_number<T>(argv[0], arg, value()); };
+    if (arg == "--switches") number(profile.switches);
+    else if (arg == "--controllers") number(profile.controllers);
+    else if (arg == "--f") number(profile.faults_tolerated);
+    else if (arg == "--slack") number(profile.capacity_slack);
     else if (arg == "--dcs") profile.cs_delay_cap = true;
     else if (arg == "--dcc") profile.cc_delay_cap = true;
-    else if (arg == "--byzantine") profile.byzantine_frac = std::strtod(value(), nullptr);
-    else if (arg == "--leaders") profile.fixed_leader_frac = std::strtod(value(), nullptr);
-    else if (arg == "--seed") profile.seed = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--byzantine") number(profile.byzantine_frac);
+    else if (arg == "--leaders") number(profile.fixed_leader_frac);
+    else if (arg == "--seed") number(profile.seed);
     else if (arg == "--in") in_path = value();
     else if (arg == "--out") out_path = value();
     else if (arg == "--solve") solve = true;
     else if (arg == "--backend") backend_name = value();
-    else if (arg == "--wall-ms") milp.max_wall_ms = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--wall-ms") {
+      number(milp.max_wall_ms);
+      if (milp.max_wall_ms < 0.0) {
+        std::fprintf(stderr, "curb-capgen: --wall-ms must be >= 0\n");
+        usage(argv[0]);
+      }
+    }
     else if (arg == "--prove") prove = true;
     else usage(argv[0]);
   }
@@ -101,11 +132,11 @@ int main(int argc, char** argv) {
   }
 
   if (prove) {
-    // The sparse exact backend proves the optimum (or infeasibility). A
+    // The dense exact backend proves the optimum (or infeasibility). A
     // feasible assignment certifies feasibility by itself; infeasibility and
     // optimality claims additionally need the search to have completed.
     const curb::opt::CapResult exact = curb::opt::solve_cap_with(
-        curb::opt::CapSolverBackend::kSparse, stored.instance,
+        curb::opt::CapSolverBackend::kDense, stored.instance,
         curb::opt::CapObjective::kTrivial, nullptr, milp);
     if (exact.feasible) {
       stored.feasible = true;
@@ -124,10 +155,10 @@ int main(int argc, char** argv) {
         *backend, stored.instance, curb::opt::CapObjective::kTrivial, nullptr, milp);
     std::printf(
         "solve: backend=%s feasible=%d objective=%.1f used=%zu nodes=%zu "
-        "lp_iters=%zu warm_hits=%zu fallback=%d wall_ms=%.1f\n",
+        "lp_iters=%zu fallback=%d wall_ms=%.1f\n",
         result.stats.backend.c_str(), result.feasible ? 1 : 0, result.objective,
         result.feasible ? result.assignment.controllers_used() : 0,
-        result.stats.milp_nodes, result.stats.lp_iterations, result.stats.lp_warm_hits,
+        result.stats.milp_nodes, result.stats.lp_iterations,
         result.stats.used_greedy_fallback ? 1 : 0, result.stats.wall_time_ms);
     if (!result.feasible && stored.feasible.value_or(false)) {
       std::fprintf(stderr, "curb-capgen: backend missed a known-feasible instance\n");

@@ -11,10 +11,12 @@
 //     --parallel 0|1                (default 1)
 //     --capacity C                  (controller capacity, default 12)
 //     --dcs MS                      (D_c,s in ms; 0 disables, default 14)
-//     --solver dense|sparse|heuristic (OP() backend, default dense; dense is
-//                                    the byte-stable baseline, sparse scales
-//                                    the exact solver, heuristic trades the
-//                                    optimality proof for millisecond solves)
+//     --solver dense|heuristic      (OP() backend, default dense; dense is
+//                                    the exact, byte-stable solver, heuristic
+//                                    trades the optimality proof for
+//                                    millisecond solves. The heuristic finds
+//                                    no assignment on the default capacity-12
+//                                    instance and exits 1: use --capacity 16)
 //     --overhead MS                 (per-message processing overhead, default 0)
 //     --reassign                    (run RE-ASS probe rounds instead of PKT-IN)
 //     --csv                         (machine-readable output)
@@ -148,7 +150,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "usage: %s [--topology internet2|random] [--controllers N]\n"
                "          [--switches M] [--seed S] [--f F] [--engine pbft|hotstuff]\n"
                "          [--rounds R] [--load L] [--parallel 0|1] [--capacity C]\n"
-               "          [--dcs MS] [--solver dense|sparse|heuristic]\n"
+               "          [--dcs MS] [--solver dense|heuristic]\n"
                "          [--overhead MS] [--reassign] [--csv]\n"
                "          [--trace FILE] [--trace-jsonl FILE]\n"
                "          [--metrics-out FILE] [--metrics-csv FILE] [--phase-report]\n"
@@ -444,8 +446,8 @@ int main(int argc, char** argv) {
   // OP() throws when no feasible initial assignment exists — easy to hit
   // with --topology random at low controller counts, or --solver heuristic
   // on the marginally-feasible default Internet2 instance (the heuristic
-  // has no optimality proof and can miss groupings the exact backends
-  // find). Surface it as a clean error, not an abort — and still flush the
+  // has no optimality proof and can miss groupings the dense backend
+  // finds). Surface it as a clean error, not an abort — and still flush the
   // requested outputs from the constructed network.
   try {
     sim.initialize();
