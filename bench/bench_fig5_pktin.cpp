@@ -7,7 +7,6 @@
 // swept; each round every active switch issues one table-miss PKT-IN.
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "common.hpp"
@@ -19,11 +18,7 @@ namespace {
 // runs. Each configuration builds a fresh deterministic simulation, so the
 // entries a fast run produces are byte-identical (up to the host section) to
 // the corresponding entries of a full run.
-bool fast_mode() {
-  const char* env = std::getenv("CURB_BENCH_FAST");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
+using curb::bench::fast_mode;
 using curb::bench::paper_options;
 using curb::core::CurbOptions;
 using curb::core::CurbSimulation;
@@ -78,7 +73,7 @@ int main() {
     CurbSimulation sim_s{serial};
     const Sample s_tp = measure(sim_s, switches, 3);
     // CURB_TRACE / CURB_METRICS_OUT capture the last configuration swept.
-    curb::bench::export_obs_from_env(sim_p.network());
+    (void)curb::bench::bench_output().write_network(sim_p.network());
     curb::bench::BenchResults::add(
         "fig5_pktin",
         {{"sweep", "switches"}, {"switches", std::to_string(switches)}, {"f", "1"}},
@@ -112,7 +107,7 @@ int main() {
     opts.max_cs_delay_ms = curb::opt::CapInstance::kNoLimit;
     CurbSimulation sim{opts};
     const Sample sample = measure(sim, 34, 3);
-    curb::bench::export_obs_from_env(sim.network());
+    (void)curb::bench::bench_output().write_network(sim.network());
     curb::bench::BenchResults::add(
         "fig5_pktin",
         {{"sweep", "f"}, {"switches", "34"}, {"f", std::to_string(f)}},

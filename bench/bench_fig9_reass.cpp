@@ -73,7 +73,7 @@ int main() {
     const Sample t = measure(tcr, switches);
     const Sample l = measure(lcr, switches);
     // CURB_TRACE / CURB_METRICS_OUT capture the last configuration swept.
-    curb::bench::export_obs_from_env(tcr.network());
+    (void)curb::bench::bench_output().write_network(tcr.network());
     curb::bench::BenchResults::add(
         "fig9_reass",
         {{"sweep", "switches"}, {"switches", std::to_string(switches)},
@@ -103,7 +103,7 @@ int main() {
   for (const std::size_t f : {1u, 2u}) {
     CurbSimulation sim{reass_options(CapObjective::kTrivial, f)};
     const Sample s = measure(sim, 34);
-    curb::bench::export_obs_from_env(sim.network());
+    (void)curb::bench::bench_output().write_network(sim.network());
     curb::bench::BenchResults::add(
         "fig9_reass",
         {{"sweep", "f"}, {"switches", "34"}, {"objective", "TCR"},

@@ -135,9 +135,10 @@ BENCHMARK(BM_SimulatorEvents);
 
 // Expanded BENCHMARK_MAIN with host profiling: CURB_PROF / CURB_PROF_CHROME
 // install the process profiler before any benchmark runs (common.hpp's
-// HostProfile writes the profile files and prints the host summary at exit).
+// bench_output() writes the profile files and prints the host summary at
+// exit).
 int main(int argc, char** argv) {
-  curb::bench::HostProfile::install_from_env();
+  (void)curb::bench::bench_output();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -179,7 +179,7 @@ int main() {
     curb::bench::print_cell(std::string{within_bound ? "yes" : "NO"});
     curb::bench::end_row();
 
-    curb::bench::export_obs_from_env(curb_sim.network());
+    (void)curb::bench::bench_output().write_network(curb_sim.network());
     curb::bench::BenchResults::add(
         "msg_complexity",
         {{"controllers", std::to_string(controllers)},

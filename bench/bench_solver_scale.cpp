@@ -9,7 +9,6 @@
 // path).
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -64,8 +63,7 @@ void run_backend(const CapInstance& inst, CapSolverBackend backend, const Size& 
   double gap = -1.0;
   if (backend == CapSolverBackend::kHeuristic && cold.feasible && size.exact_ok) {
     curb::opt::MilpOptions exact_options;
-    exact_options.max_wall_ms =
-        std::getenv("CURB_BENCH_FAST") != nullptr ? 5'000.0 : 30'000.0;
+    exact_options.max_wall_ms = curb::bench::fast_mode() ? 5'000.0 : 30'000.0;
     if (const auto g = curb::opt::optimality_gap(inst, curb::opt::CapObjective::kTrivial,
                                                  nullptr, cold.objective, exact_options)) {
       gap = *g;
@@ -111,9 +109,8 @@ int main() {
   // The proof frontier is driven by controller count (the x_j branching
   // layer), not switch count: dense proves 50x10 in under a second but not
   // 60x12 in ten.
-  const bool fast = std::getenv("CURB_BENCH_FAST") != nullptr;
   std::vector<Size> sizes = {{16, 8, true}, {50, 10, true}};
-  if (!fast) {
+  if (!curb::bench::fast_mode()) {
     sizes.push_back({60, 12, true});
     sizes.push_back({100, 20, true});
     sizes.push_back({300, 40, false});

@@ -133,7 +133,8 @@ struct CurbOptions {
   /// streaming flush, so memory is O(retention), not run length.
   std::size_t ts_retention = 64;
   /// Stream closed windows to this JSONL path (curb-watch tails it live).
-  /// Empty keeps windows in memory only.
+  /// Empty keeps windows in memory only; non-empty implies ts_window
+  /// (defaulted to 100 ms when unset).
   std::string ts_out;
   /// SLO watchdog rules (curb::obs::slo grammar), evaluated at every window
   /// close. Empty disables; non-empty implies ts_window (defaulted to
@@ -150,6 +151,8 @@ struct CurbOptions {
   /// Seed for the fault plan's own RNG stream, independent of `seed` so the
   /// same workload can be replayed under different fault schedules.
   std::uint64_t fault_seed = 1;
+
+  bool operator==(const CurbOptions&) const = default;
 };
 
 }  // namespace curb::core

@@ -44,8 +44,8 @@ class SigCache {
   /// Drop every entry (counters keep accumulating; entries goes to zero).
   void clear();
 
-  /// Toggle at runtime (tests; also set from CURB_SIG_CACHE=0 at startup).
-  /// Disabled means every call falls through to crypto::verify.
+  /// Toggle at runtime (tests and perfbench; on by default). Disabled means
+  /// every call falls through to crypto::verify.
   void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const;
 

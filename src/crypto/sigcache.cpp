@@ -1,9 +1,7 @@
 #include "curb/crypto/sigcache.hpp"
 
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <string_view>
 #include <unordered_map>
 
 namespace curb::crypto {
@@ -30,13 +28,6 @@ struct KeyHash {
   return hasher.finish();
 }
 
-[[nodiscard]] bool env_enables_cache() {
-  const char* value = std::getenv("CURB_SIG_CACHE");
-  if (value == nullptr) return true;
-  const std::string_view v{value};
-  return !(v == "0" || v == "off" || v == "false");
-}
-
 constexpr std::size_t kDefaultCapacity = 1u << 20;
 
 }  // namespace
@@ -51,7 +42,7 @@ struct SigCache::Impl {
   bool enabled = true;
 };
 
-SigCache::SigCache() : impl_{new Impl} { impl_->enabled = env_enables_cache(); }
+SigCache::SigCache() : impl_{new Impl} {}
 
 SigCache& SigCache::instance() {
   static SigCache cache;

@@ -27,6 +27,8 @@ struct LinkModel {
   [[nodiscard]] sim::SimTime delay(double distance_km, std::size_t bytes) const {
     return propagation_delay(distance_km) + transmission_delay(bytes) + per_message_overhead;
   }
+
+  bool operator==(const LinkModel&) const = default;
 };
 
 }  // namespace curb::net

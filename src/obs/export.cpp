@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -52,14 +51,6 @@ void write_labels(std::ostream& out, const Labels& labels) {
         << "\"";
   }
   out << "}";
-}
-
-template <typename WriteFn>
-bool export_to_file(const std::string& path, WriteFn write) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write(out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -224,10 +215,6 @@ std::vector<SpanRecord> parse_spans_jsonl(std::istream& in) {
   return spans;
 }
 
-void write_chrome_trace(const Tracer& tracer, std::ostream& out) {
-  write_chrome_trace(tracer, nullptr, out);
-}
-
 void write_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
                         std::ostream& out) {
   // tid per track, in first-use order; clamp open spans to the trace end.
@@ -365,30 +352,6 @@ void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out) {
       }
     }
   }
-}
-
-bool export_spans_jsonl(const Tracer& tracer, const std::string& path) {
-  return export_to_file(path, [&](std::ostream& out) { write_spans_jsonl(tracer, out); });
-}
-
-bool export_chrome_trace(const Tracer& tracer, const std::string& path) {
-  return export_to_file(path, [&](std::ostream& out) { write_chrome_trace(tracer, out); });
-}
-
-bool export_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
-                         const std::string& path) {
-  return export_to_file(
-      path, [&](std::ostream& out) { write_chrome_trace(tracer, registry, out); });
-}
-
-bool export_metrics_json(const MetricsRegistry& registry, const std::string& path) {
-  return export_to_file(path,
-                        [&](std::ostream& out) { write_metrics_json(registry, out); });
-}
-
-bool export_metrics_csv(const MetricsRegistry& registry, const std::string& path) {
-  return export_to_file(path,
-                        [&](std::ostream& out) { write_metrics_csv(registry, out); });
 }
 
 }  // namespace curb::obs

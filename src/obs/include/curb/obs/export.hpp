@@ -22,12 +22,9 @@ void write_spans_jsonl(const Tracer& tracer, std::ostream& out);
 /// Chrome trace_event JSON ("X" complete events + thread-name metadata),
 /// loadable in chrome://tracing and Perfetto. One tid per tracer track,
 /// timestamps in virtual microseconds. Spans still open at export time are
-/// clamped to the latest timestamp seen and tagged args.open = "true".
-void write_chrome_trace(const Tracer& tracer, std::ostream& out);
-
-/// As above, plus one "C" (counter) event per counter/gauge series of the
-/// registry at the trace-end timestamp, so final values render as counter
-/// tracks alongside the spans. `registry` may be null.
+/// clamped to the latest timestamp seen and tagged args.open = "true". One
+/// "C" (counter) event per counter/gauge series of `registry` (may be null)
+/// at the trace-end timestamp renders final values as counter tracks.
 void write_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
                         std::ostream& out);
 
@@ -38,14 +35,6 @@ void write_metrics_json(const MetricsRegistry& registry, std::ostream& out);
 /// Flat CSV (series,kind,count,sum,min,max,mean,p50,p90,p99,value) for
 /// spreadsheet-style diffing of bench runs.
 void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out);
-
-/// File-path conveniences; return false when the file cannot be opened.
-bool export_spans_jsonl(const Tracer& tracer, const std::string& path);
-bool export_chrome_trace(const Tracer& tracer, const std::string& path);
-bool export_chrome_trace(const Tracer& tracer, const MetricsRegistry* registry,
-                         const std::string& path);
-bool export_metrics_json(const MetricsRegistry& registry, const std::string& path);
-bool export_metrics_csv(const MetricsRegistry& registry, const std::string& path);
 
 /// JSON string escaping (shared by the writers; exposed for tests).
 [[nodiscard]] std::string json_escape(const std::string& s);

@@ -70,10 +70,4 @@ struct MemDiffResult {
 
 void write_mem_diff_text(const MemDiffResult& diff, std::ostream& out);
 
-/// File-path conveniences; false when the file cannot be opened.
-bool export_mem_profile(const MemSnapshot& snap, const std::string& path);
-bool export_mem_collapsed(const prof::Profiler& profiler,
-                          const std::vector<FrameAlloc>& frames,
-                          const std::string& path);
-
 }  // namespace curb::obs::res

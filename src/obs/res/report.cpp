@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -226,22 +225,6 @@ void write_mem_diff_text(const MemDiffResult& diff, std::ostream& out) {
         << "  " << d.metric << "  " << buf << "\n";
   }
   out << "regressions: " << diff.regressions() << "\n";
-}
-
-bool export_mem_profile(const MemSnapshot& snap, const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_mem_profile_json(snap, out);
-  return static_cast<bool>(out);
-}
-
-bool export_mem_collapsed(const prof::Profiler& profiler,
-                          const std::vector<FrameAlloc>& frames,
-                          const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_mem_collapsed(profiler, frames, out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace curb::obs::res

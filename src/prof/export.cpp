@@ -169,11 +169,4 @@ bool export_collapsed(const Profiler& profiler, const std::string& path) {
   return static_cast<bool>(out);
 }
 
-bool export_chrome_profile(const Profiler& profiler, const std::string& path) {
-  std::ofstream out{path, std::ios::binary | std::ios::trunc};
-  if (!out) return false;
-  write_chrome_profile(profiler, out);
-  return static_cast<bool>(out);
-}
-
 }  // namespace curb::prof

@@ -38,8 +38,7 @@ struct FoldedLine {
 void write_profile_report(const std::vector<FoldedLine>& lines, std::ostream& out,
                           std::size_t top_n = 20);
 
-/// File-path conveniences; return false when the file cannot be opened.
+/// write_collapsed to a file; false when it cannot be written.
 bool export_collapsed(const Profiler& profiler, const std::string& path);
-bool export_chrome_profile(const Profiler& profiler, const std::string& path);
 
 }  // namespace curb::prof

@@ -554,7 +554,7 @@ TEST(CurbObservability, TraceByteIdenticalAcrossIdenticalRuns) {
     std::stringstream trace;
     std::stringstream jsonl;
     std::stringstream metrics;
-    obs::write_chrome_trace(sim.network().observatory()->tracer, trace);
+    obs::write_chrome_trace(sim.network().observatory()->tracer, nullptr, trace);
     obs::write_spans_jsonl(sim.network().observatory()->tracer, jsonl);
     obs::write_metrics_json(sim.network().observatory()->metrics, metrics);
     return trace.str() + "\x1e" + jsonl.str() + "\x1e" + metrics.str();

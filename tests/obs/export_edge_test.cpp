@@ -50,7 +50,7 @@ TEST(ExportEdge, EmptyMetricsRegistryCsv) {
 TEST(ExportEdge, EmptyTracerChromeTrace) {
   const obs::Tracer tracer;  // never bound, never enabled
   std::ostringstream out;
-  obs::write_chrome_trace(tracer, out);
+  obs::write_chrome_trace(tracer, nullptr, out);
   const prof::JsonValue doc = prof::parse_json(out.str());
   ASSERT_EQ(doc.type, prof::JsonValue::Type::kObject);
   const prof::JsonValue* events = doc.find("traceEvents");

@@ -349,7 +349,7 @@ TEST(Export, ChromeTraceShape) {
   f.sim.run();
 
   std::stringstream buf;
-  write_chrome_trace(f.tracer, buf);
+  write_chrome_trace(f.tracer, nullptr, buf);
   const std::string out = buf.str();
   // Valid-ish trace_event JSON: an event array, complete events with
   // microsecond timestamps, and thread-name metadata per track.
@@ -419,20 +419,11 @@ TEST(Export, DeterministicAcrossIdenticalRuns) {
     f.sim.run();
     std::stringstream chrome;
     std::stringstream jsonl;
-    write_chrome_trace(f.tracer, chrome);
+    write_chrome_trace(f.tracer, nullptr, chrome);
     write_spans_jsonl(f.tracer, jsonl);
     return chrome.str() + "\x1e" + jsonl.str();
   };
   EXPECT_EQ(run_once(), run_once());
-}
-
-TEST(Export, PathHelpersReportFailure) {
-  Tracer t;
-  MetricsRegistry reg;
-  EXPECT_FALSE(export_chrome_trace(t, "/nonexistent-dir/trace.json"));
-  EXPECT_FALSE(export_spans_jsonl(t, "/nonexistent-dir/spans.jsonl"));
-  EXPECT_FALSE(export_metrics_json(reg, "/nonexistent-dir/m.json"));
-  EXPECT_FALSE(export_metrics_csv(reg, "/nonexistent-dir/m.csv"));
 }
 
 TEST(Observatory, EnableBindsClockAndStartsTracer) {

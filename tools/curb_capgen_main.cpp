@@ -28,14 +28,11 @@
 // (say "--switches abc" or "--wall-ms 0.5x") prints the usage text and
 // exits 2.
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <type_traits>
 
+#include "curb/core/parse_number.hpp"
 #include "curb/opt/instance_gen.hpp"
 #include "curb/opt/instance_io.hpp"
 #include "curb/opt/solver.hpp"
@@ -50,22 +47,6 @@ namespace {
                "          [--backend dense|heuristic] [--wall-ms MS] [--prove]\n",
                argv0);
   std::exit(2);
-}
-
-/// The whole of `text` as a T; anything else (trailing characters, a sign on
-/// an unsigned flag, overflow, a non-finite double) is a usage error.
-template <typename T>
-T parse_number(const char* argv0, const std::string& flag, const char* text) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  bool ok = ec == std::errc{} && ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok) {
-    std::fprintf(stderr, "curb-capgen: bad %s value '%s'\n", flag.c_str(), text);
-    usage(argv0);
-  }
-  return value;
 }
 
 }  // namespace
@@ -85,7 +66,9 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
-    auto number = [&]<typename T>(T& out) { out = parse_number<T>(argv[0], arg, value()); };
+    auto number = [&](auto& out) {
+      if (!curb::core::parse_flag_value(argv[0], arg, value(), out)) usage(argv[0]);
+    };
     if (arg == "--switches") number(profile.switches);
     else if (arg == "--controllers") number(profile.controllers);
     else if (arg == "--f") number(profile.faults_tolerated);

@@ -32,13 +32,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/core/parse_number.hpp"
 #include "curb/obs/res/report.hpp"
 #include "curb/prof/bench_diff.hpp"
 #include "curb/prof/export.hpp"
@@ -62,14 +62,14 @@ using curb::core::kExitUsage;
   std::exit(kExitUsage);
 }
 
-double parse_double(const char* argv0, const char* text) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    std::fprintf(stderr, "%s: bad number '%s'\n", argv0, text);
-    std::exit(kExitUsage);
+/// Parses the value after flag args[i] into `out` and steps i past it; a
+/// missing or malformed value is a usage error.
+template <typename T>
+void number(const char* argv0, const std::vector<std::string>& args, std::size_t& i, T& out) {
+  if (i + 1 >= args.size() || !curb::core::parse_flag_value(argv0, args[i], args[i + 1], out)) {
+    usage(argv0);
   }
-  return value;
+  ++i;
 }
 
 int run_report(const char* argv0, const std::vector<std::string>& args) {
@@ -78,8 +78,7 @@ int run_report(const char* argv0, const std::vector<std::string>& args) {
   std::size_t top_n = 20;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--top") {
-      if (i + 1 >= args.size()) usage(argv0);
-      top_n = static_cast<std::size_t>(parse_double(argv0, args[++i].c_str()));
+      number(argv0, args, i, top_n);
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -125,14 +124,11 @@ int run_perf_diff(const char* argv0, const std::vector<std::string>& args) {
     if (args[i] == "--json") {
       as_json = true;
     } else if (args[i] == "--threshold") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.threshold_pct = parse_double(argv0, args[++i].c_str());
+      number(argv0, args, i, options.threshold_pct);
     } else if (args[i] == "--host-threshold") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.host_threshold_pct = parse_double(argv0, args[++i].c_str());
+      number(argv0, args, i, options.host_threshold_pct);
     } else if (args[i] == "--floor") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.floor = parse_double(argv0, args[++i].c_str());
+      number(argv0, args, i, options.floor);
     } else if (args[i] == "--warn-only") {
       options.warn_only = true;
     } else if (args[i].rfind("--", 0) == 0) {
@@ -214,11 +210,9 @@ int run_mem_diff(const char* argv0, const std::vector<std::string>& args) {
   curb::obs::res::MemDiffOptions options;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threshold") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.threshold_pct = parse_double(argv0, args[++i].c_str());
+      number(argv0, args, i, options.threshold_pct);
     } else if (args[i] == "--floor") {
-      if (i + 1 >= args.size()) usage(argv0);
-      options.floor = parse_double(argv0, args[++i].c_str());
+      number(argv0, args, i, options.floor);
     } else if (args[i] == "--warn-only") {
       options.warn_only = true;
     } else if (args[i].rfind("--", 0) == 0) {

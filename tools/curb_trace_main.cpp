@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/core/parse_number.hpp"
 #include "curb/obs/analysis.hpp"
 #include "curb/obs/export.hpp"
 #include "curb/obs/net/report.hpp"
@@ -87,17 +87,20 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [&](auto& out) {
+      if (!curb::core::parse_flag_value(argv[0], arg, value(), out)) usage(argv[0]);
+    };
     if (arg == "--json") {
       json = true;
     } else if (arg == "--ledger") {
       ledger_path = value();
     } else if (arg == "--limit") {
-      limit = std::strtoull(value(), nullptr, 10);
+      number(limit);
       limit_set = true;
     } else if (arg == "--threshold") {
-      diff_options.threshold_pct = std::strtod(value(), nullptr);
+      number(diff_options.threshold_pct);
     } else if (arg == "--floor") {
-      diff_options.floor_us = std::strtoll(value(), nullptr, 10);
+      number(diff_options.floor_us);
     } else if (!arg.empty() && arg[0] == '-') {
       usage(argv[0]);
     } else {

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "curb/core/exit_codes.hpp"
+#include "curb/core/parse_number.hpp"
 #include "curb/obs/slo.hpp"
 #include "curb/obs/timeseries.hpp"
 
@@ -86,13 +87,16 @@ CliOptions parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    auto number = [&](auto& out) {
+      if (!curb::core::parse_flag_value(argv[0], arg, value(), out)) usage(argv[0]);
+    };
     if (arg == "--slo") opts.slo_rules = value();
     else if (arg == "--follow") opts.follow = true;
-    else if (arg == "--idle-ms") opts.idle_ms = std::strtol(value(), nullptr, 10);
-    else if (arg == "--poll-ms") opts.poll_ms = std::strtol(value(), nullptr, 10);
+    else if (arg == "--idle-ms") number(opts.idle_ms);
+    else if (arg == "--poll-ms") number(opts.poll_ms);
     else if (arg == "--series") opts.series_filters.emplace_back(value());
-    else if (arg == "--links") opts.links = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--width") opts.width = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--links") number(opts.links);
+    else if (arg == "--width") number(opts.width);
     else if (arg == "--report") opts.report_file = value();
     else if (arg == "--quiet") opts.quiet = true;
     else if (arg == "--help" || arg == "-h") usage(argv[0]);
