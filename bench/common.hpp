@@ -22,9 +22,9 @@
 #include "curb/core/run_config.hpp"
 #include "curb/core/run_output.hpp"
 #include "curb/obs/analysis.hpp"
-#include "curb/obs/export.hpp"
 #include "curb/obs/report.hpp"
 #include "curb/obs/res/account.hpp"
+#include "curb/prof/json.hpp"
 #include "curb/prof/profiler.hpp"
 #include "curb/sim/stats.hpp"
 
@@ -125,18 +125,18 @@ class BenchResults {
                   core::CurbNetwork* network = nullptr,
                   const std::string& extra_json = "") {
     std::ostringstream entry;
-    entry << "{\"bench\":\"" << obs::json_escape(bench) << "\",\"params\":{";
+    entry << "{\"bench\":\"" << prof::json_escape(bench) << "\",\"params\":{";
     for (std::size_t i = 0; i < params.size(); ++i) {
       if (i > 0) entry << ",";
-      entry << "\"" << obs::json_escape(params[i].first) << "\":\""
-            << obs::json_escape(params[i].second) << "\"";
+      entry << "\"" << prof::json_escape(params[i].first) << "\":\""
+            << prof::json_escape(params[i].second) << "\"";
     }
     entry << "},\"metrics\":{";
     for (std::size_t i = 0; i < metrics.size(); ++i) {
       char value[64];
       std::snprintf(value, sizeof value, "%.3f", metrics[i].second);
       if (i > 0) entry << ",";
-      entry << "\"" << obs::json_escape(metrics[i].first) << "\":" << value;
+      entry << "\"" << prof::json_escape(metrics[i].first) << "\":" << value;
     }
     entry << "}";
     if (!extra_json.empty()) entry << extra_json;
@@ -207,7 +207,7 @@ class BenchResults {
                         100.0 * static_cast<double>(ns) /
                             static_cast<double>(delta_total));
           entry << (first ? "" : ",") << "{\"component\":\""
-                << obs::json_escape(component) << "\",\"share_pct\":" << buf << "}";
+                << prof::json_escape(component) << "\",\"share_pct\":" << buf << "}";
           first = false;
         }
         entry << "]";
@@ -288,11 +288,11 @@ class BenchResults {
     }
     bool first = true;
     for (const auto& [key, s] : stats) {
-      entry << (first ? "" : ",") << "\"" << obs::json_escape(key)
+      entry << (first ? "" : ",") << "\"" << prof::json_escape(key)
             << "\":{\"kind\":\"" << s.kind << "\",\"windows\":" << s.windows
-            << ",\"mean\":" << obs::json_double(s.sum / static_cast<double>(s.windows))
-            << ",\"max\":" << obs::json_double(s.max)
-            << ",\"last\":" << obs::json_double(s.last) << "}";
+            << ",\"mean\":" << prof::json_double(s.sum / static_cast<double>(s.windows))
+            << ",\"max\":" << prof::json_double(s.max)
+            << ",\"last\":" << prof::json_double(s.last) << "}";
       first = false;
     }
     entry << "}}";

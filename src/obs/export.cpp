@@ -1,35 +1,18 @@
 #include "curb/obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <stdexcept>
 #include <string>
 
+#include "curb/prof/json.hpp"
+
 namespace curb::obs {
 
-std::string json_double(double v) {
-  char buf[64];
-  // Integral values print as integers ("10", not "1e+01" — %.1g round-trips
-  // it, so the shortest-precision scan below would pick the latter).
-  if (v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    return buf;
-  }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Prefer the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof shorter, "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
-  }
-  return buf;
-}
+using prof::json_double;
+using prof::json_escape;
 
 namespace {
 
@@ -55,29 +38,6 @@ void write_labels(std::ostream& out, const Labels& labels) {
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_spans_jsonl(const Tracer& tracer, std::ostream& out) {
   for (const SpanRecord& s : tracer.spans()) {
     out << "{\"id\":" << s.id << ",\"parent\":" << s.parent << ",\"name\":\""
@@ -91,117 +51,24 @@ void write_spans_jsonl(const Tracer& tracer, std::ostream& out) {
 
 namespace {
 
-/// Minimal parser for the exact JSONL subset write_spans_jsonl emits.
-class LineParser {
- public:
-  explicit LineParser(const std::string& line) : s_{line} {}
-
-  SpanRecord parse() {
-    SpanRecord record;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "id") record.id = parse_uint();
-      else if (key == "parent") record.parent = parse_uint();
-      else if (key == "name") record.name = parse_string();
-      else if (key == "track") record.track = parse_string();
-      else if (key == "start_us") record.start = sim::SimTime::micros(parse_int());
-      else if (key == "end_us") record.end = sim::SimTime::micros(parse_int());
-      else if (key == "open") record.open = parse_bool();
-      else if (key == "attrs") record.attrs = parse_attrs();
-      else throw std::runtime_error{"parse_spans_jsonl: unknown key " + key};
-    }
-    expect('}');
-    return record;
-  }
-
- private:
-  [[nodiscard]] char peek() const {
-    if (pos_ >= s_.size()) throw std::runtime_error{"parse_spans_jsonl: truncated line"};
-    return s_[pos_];
-  }
-  void expect(char c) {
-    if (peek() != c) throw std::runtime_error{"parse_spans_jsonl: malformed line"};
-    ++pos_;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) throw std::runtime_error{"bad \\u escape"};
-            try {
-              c = static_cast<char>(std::stoi(s_.substr(pos_, 4), nullptr, 16));
-            } catch (const std::exception&) {
-              throw std::runtime_error{"parse_spans_jsonl: bad \\u escape"};
-            }
-            pos_ += 4;
-            break;
-          }
-          default: throw std::runtime_error{"parse_spans_jsonl: bad escape"};
-        }
+SpanRecord span_from_json(const prof::JsonValue& json) {
+  SpanRecord record;
+  for (const auto& [key, value] : json.as_object("span")) {
+    if (key == "id") record.id = value.as_uint(key);
+    else if (key == "parent") record.parent = value.as_uint(key);
+    else if (key == "name") record.name = value.as_string(key);
+    else if (key == "track") record.track = value.as_string(key);
+    else if (key == "start_us") record.start = sim::SimTime::micros(value.as_int(key));
+    else if (key == "end_us") record.end = sim::SimTime::micros(value.as_int(key));
+    else if (key == "open") record.open = value.as_bool(key);
+    else if (key == "attrs") {
+      for (const auto& [name, attr] : value.as_object(key)) {
+        record.attrs.emplace_back(name, attr.as_string(name));
       }
-      out += c;
-    }
-    ++pos_;  // closing quote
-    return out;
+    } else throw std::runtime_error{"parse_spans_jsonl: unknown key " + key};
   }
-  std::int64_t parse_int() {
-    std::size_t used = 0;
-    std::int64_t v = 0;
-    try {
-      v = std::stoll(s_.substr(pos_), &used);
-    } catch (const std::exception&) {
-      throw std::runtime_error{"parse_spans_jsonl: bad number"};
-    }
-    pos_ += used;
-    return v;
-  }
-  std::uint64_t parse_uint() { return static_cast<std::uint64_t>(parse_int()); }
-  bool parse_bool() {
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw std::runtime_error{"parse_spans_jsonl: bad bool"};
-  }
-  Attrs parse_attrs() {
-    Attrs attrs;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      std::string key = parse_string();
-      expect(':');
-      std::string value = parse_string();
-      attrs.emplace_back(std::move(key), std::move(value));
-    }
-    expect('}');
-    return attrs;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  return record;
+}
 
 }  // namespace
 
@@ -210,7 +77,7 @@ std::vector<SpanRecord> parse_spans_jsonl(std::istream& in) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    spans.push_back(LineParser{line}.parse());
+    spans.push_back(span_from_json(prof::parse_json(line)));
   }
   return spans;
 }

@@ -14,9 +14,10 @@ namespace curb::obs {
 /// trivially streamable into the benchmark trajectory tooling.
 void write_spans_jsonl(const Tracer& tracer, std::ostream& out);
 
-/// Parse a JSONL span dump back (round-trip of write_spans_jsonl). Throws
-/// std::runtime_error on malformed input. Only the subset of JSON that the
-/// writer emits is accepted.
+/// Parse a JSONL span dump back (round-trip of write_spans_jsonl): each line
+/// through prof::parse_json. Throws std::runtime_error on malformed JSON, an
+/// unknown key, a member of the wrong type, or an id/parent/start_us/end_us
+/// that is not a whole number in range.
 [[nodiscard]] std::vector<SpanRecord> parse_spans_jsonl(std::istream& in);
 
 /// Chrome trace_event JSON ("X" complete events + thread-name metadata),
@@ -35,13 +36,5 @@ void write_metrics_json(const MetricsRegistry& registry, std::ostream& out);
 /// Flat CSV (series,kind,count,sum,min,max,mean,p50,p90,p99,value) for
 /// spreadsheet-style diffing of bench runs.
 void write_metrics_csv(const MetricsRegistry& registry, std::ostream& out);
-
-/// JSON string escaping (shared by the writers; exposed for tests).
-[[nodiscard]] std::string json_escape(const std::string& s);
-
-/// Shortest round-trippable JSON number formatting (shared by the writers:
-/// integers print without an exponent or trailing zeros, so exports stay
-/// byte-stable and diffable).
-[[nodiscard]] std::string json_double(double v);
 
 }  // namespace curb::obs

@@ -46,7 +46,10 @@ void write_complexity_json(const std::vector<RoundComplexity>& rounds,
 /// deterministically ordered.
 void write_ledger_jsonl(const MsgLedger& ledger, std::ostream& out);
 
-/// One parsed ledger row (`parse_ledger_jsonl` round-trips write_ledger_jsonl).
+/// One parsed ledger row (`parse_ledger_jsonl` round-trips write_ledger_jsonl,
+/// each line through prof::parse_json; a malformed line, an unknown or missing
+/// member, or a msgs/bytes that is not a whole number in range throws
+/// std::runtime_error).
 struct LedgerRow {
   std::string category;
   std::string key;

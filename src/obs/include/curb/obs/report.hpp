@@ -1,7 +1,7 @@
 #pragma once
 
 // Renderers over TraceAnalysis: the phase-breakdown report, per-transaction
-// critical paths, the anomaly list, and a two-run phase-by-phase diff.
+// critical paths, the anomaly list, and the entry a two-run diff compares.
 //
 // Every JSON writer is deterministic — fixed key order, fixed float
 // formatting — so reports of byte-identical span dumps are byte-identical,
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "curb/obs/analysis.hpp"
+#include "curb/prof/bench_diff.hpp"
 
 namespace curb::obs {
 
@@ -43,41 +44,16 @@ void write_critical_path_json(const TraceAnalysis& analysis, std::ostream& out,
 void write_anomalies_text(const TraceAnalysis& analysis, std::ostream& out);
 void write_anomalies_json(const TraceAnalysis& analysis, std::ostream& out);
 
-/// Phase-by-phase comparison of two runs.
-struct DiffOptions {
-  /// A phase regresses when its candidate p50 exceeds baseline p50 by more
-  /// than threshold_pct percent AND more than floor_us microseconds (the
-  /// floor suppresses noise on sub-millisecond phases).
-  double threshold_pct = 10.0;
-  std::int64_t floor_us = 100;
-};
+/// What `curb-trace diff` compares, as one prof::perf_diff entry named
+/// "trace": the end-to-end and per-phase p50 latency in us, under the BENCH
+/// names `e2e_us.p50_us` and `phases.<phase>.stats.p50_us`. A latency with no
+/// complete transaction is left out, so perf_diff lists it as one-sided.
+[[nodiscard]] prof::BenchEntry bench_entry(const TraceAnalysis& analysis);
 
-struct DiffEntry {
-  std::string metric;  // "e2e" or a phase name
-  bool in_baseline = false;
-  bool in_candidate = false;
-  std::int64_t base_p50_us = 0;
-  std::int64_t cand_p50_us = 0;
-  double base_mean_us = 0.0;
-  double cand_mean_us = 0.0;
-  double delta_pct = 0.0;  // p50 change, percent (0 when baseline p50 is 0)
-  bool regression = false;
-};
-
-struct DiffResult {
-  std::vector<DiffEntry> entries;  // "e2e" first, then phases in protocol order
-  std::size_t base_complete = 0;
-  std::size_t cand_complete = 0;
-  std::size_t base_anomalies = 0;
-  std::size_t cand_anomalies = 0;
-  [[nodiscard]] std::size_t regressions() const;
-};
-
-[[nodiscard]] DiffResult diff_analyses(const TraceAnalysis& baseline,
-                                       const TraceAnalysis& candidate,
-                                       const DiffOptions& options = {});
-
-void write_diff_text(const DiffResult& diff, std::ostream& out);
-void write_diff_json(const DiffResult& diff, std::ostream& out);
+/// `curb-trace diff`'s default gate: a p50 regresses when it grows by more
+/// than 10% and more than 100 us (the floor suppresses noise on
+/// sub-millisecond phases).
+inline constexpr prof::PerfDiffOptions kTraceDiffOptions{.threshold_pct = 10.0,
+                                                         .floor = 100.0};
 
 }  // namespace curb::obs

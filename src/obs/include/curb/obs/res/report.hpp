@@ -2,8 +2,8 @@
 
 // Memory-profile reporting: serialize a res::MemSnapshot to JSON, render the
 // human top-allocator table, export per-frame allocation flamegraphs in the
-// same collapsed-stack format as host-time profiles, and diff two profiles
-// with regression thresholds (`curb-prof mem-report` / `mem-diff`).
+// same collapsed-stack format as host-time profiles, and the entry
+// prof::perf_diff compares (`curb-prof mem-report` / `mem-diff`).
 //
 // Everything here reports *host* measurements — profiles go to their own
 // files and never into the deterministic trace/telemetry streams.
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "curb/obs/res/account.hpp"
+#include "curb/prof/bench_diff.hpp"
 
 namespace curb::obs::res {
 
@@ -21,8 +22,9 @@ namespace curb::obs::res {
 /// all-zero tags are skipped). Round-trips through parse_mem_profile_json.
 void write_mem_profile_json(const MemSnapshot& snap, std::ostream& out);
 
-/// Parse a mem-profile JSON document (throws std::runtime_error on malformed
-/// input; unknown tag names throw, missing tags read as zero).
+/// Parse a mem-profile JSON document through prof::parse_json (throws
+/// std::runtime_error on malformed input or a counter that is not a whole
+/// number in range; unknown tag names throw, missing tags read as zero).
 [[nodiscard]] MemSnapshot parse_mem_profile_json(std::istream& in);
 
 /// Human report: totals, attribution coverage, and the per-tag allocator
@@ -37,37 +39,15 @@ void write_mem_report(const MemSnapshot& snap, std::ostream& out);
 void write_mem_collapsed(const prof::Profiler& profiler,
                          const std::vector<FrameAlloc>& frames, std::ostream& out);
 
-struct MemDiffOptions {
-  /// Relative-change gate, percent, applied to per-tag cumulative bytes,
-  /// allocation counts, and peak-live bytes.
-  double threshold_pct = 25.0;
-  /// Absolute byte/count change below this is ignored (malloc jitter).
-  double floor = 4096.0;
-  /// Downgrade regressions to warnings (CI smoke mode).
-  bool warn_only = false;
-};
+/// What `curb-prof mem-diff` compares, as one prof::perf_diff entry named
+/// "mem": cumulative bytes, allocation count and peak live bytes, in total
+/// and for every tag ("total.alloc_bytes", "crypto.allocs",
+/// "bft.peak_live_bytes", ...).
+[[nodiscard]] prof::BenchEntry bench_entry(const MemSnapshot& snap);
 
-struct MemDelta {
-  std::string metric;  // "crypto.alloc_bytes", "total.peak_live_bytes", ...
-  std::uint64_t base = 0;
-  std::uint64_t candidate = 0;
-  double delta_pct = 0.0;
-  bool regressed = false;  // false = warn-only or improvement
-};
-
-struct MemDiffResult {
-  std::vector<MemDelta> deltas;  // beyond-threshold changes only
-  std::size_t metrics_compared = 0;
-
-  [[nodiscard]] std::size_t regressions() const;
-};
-
-/// Compare candidate against baseline: growth in cumulative bytes, allocs, or
-/// peak beyond the threshold regresses (shrinkage only ever reports).
-[[nodiscard]] MemDiffResult mem_diff(const MemSnapshot& base,
-                                     const MemSnapshot& candidate,
-                                     const MemDiffOptions& options = {});
-
-void write_mem_diff_text(const MemDiffResult& diff, std::ostream& out);
+/// `curb-prof mem-diff`'s default gate: growth past 25% and past 4096 bytes
+/// or allocations (malloc jitter) regresses; shrinkage only ever reports.
+inline constexpr prof::PerfDiffOptions kMemDiffOptions{.threshold_pct = 25.0,
+                                                       .floor = 4096.0};
 
 }  // namespace curb::obs::res

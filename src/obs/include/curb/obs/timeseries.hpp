@@ -162,10 +162,12 @@ class TsCollector {
 ///   "sim.now_us":{"kind":"gauge","value":100000}}}
 void write_ts_window_json(const TsWindow& window, std::ostream& out);
 
-/// Parse a telemetry JSONL dump back (round-trip of the streaming writer).
-/// Throws std::runtime_error on malformed input; only the subset the writer
-/// emits is accepted. Incomplete trailing lines (a live file mid-write) are
-/// ignored, which is what lets curb-watch tail a running sim.
+/// Parse a telemetry JSONL dump back (round-trip of the streaming writer):
+/// each line through prof::parse_json. Throws std::runtime_error on malformed
+/// JSON, an unknown key or kind, a member of the wrong type, or a
+/// w/count/start_us/end_us that is not a whole number in range. One trailing
+/// line not closed by '}' (a live file mid-write) is ignored, which is what
+/// lets curb-watch tail a running sim.
 [[nodiscard]] std::vector<TsWindow> parse_ts_jsonl(std::istream& in);
 
 }  // namespace curb::obs

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <istream>
 #include <ostream>
-#include <sstream>
+#include <stdexcept>
 
-#include "curb/obs/export.hpp"
+#include "curb/prof/json.hpp"
 
 namespace curb::obs::net {
+
+using prof::json_double;
+using prof::json_escape;
 
 namespace {
 
@@ -257,38 +261,19 @@ void write_ledger_jsonl(const MsgLedger& ledger, std::ostream& out) {
 }
 
 std::vector<LedgerRow> parse_ledger_jsonl(std::istream& in) {
-  // Narrow parser for the fixed field layout write_ledger_jsonl emits; the
-  // string fields (bus categories, digest hex, switch:request pairs) never
-  // contain characters json_escape would rewrite.
   std::vector<LedgerRow> rows;
   std::string line;
-  const auto string_field = [](const std::string& text, const char* field,
-                               std::string& out_value) {
-    const std::string tag = std::string{"\""} + field + "\":\"";
-    const std::size_t at = text.find(tag);
-    if (at == std::string::npos) return false;
-    const std::size_t start = at + tag.size();
-    const std::size_t end = text.find('"', start);
-    if (end == std::string::npos) return false;
-    out_value = text.substr(start, end - start);
-    return true;
-  };
-  const auto u64_field = [](const std::string& text, const char* field,
-                            std::uint64_t& out_value) {
-    const std::string tag = std::string{"\""} + field + "\":";
-    const std::size_t at = text.find(tag);
-    if (at == std::string::npos) return false;
-    out_value = std::strtoull(text.c_str() + at + tag.size(), nullptr, 10);
-    return true;
-  };
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    LedgerRow row;
-    if (string_field(line, "category", row.category) &&
-        string_field(line, "key", row.key) && u64_field(line, "msgs", row.msgs) &&
-        u64_field(line, "bytes", row.bytes)) {
-      rows.push_back(std::move(row));
+    const prof::JsonValue json = prof::parse_json(line);
+    for (const auto& [key, value] : json.as_object("ledger row")) {
+      if (key != "category" && key != "key" && key != "msgs" && key != "bytes") {
+        throw std::runtime_error{"parse_ledger_jsonl: unknown key " + key};
+      }
     }
+    rows.push_back({json.at("category").as_string("category"),
+                    json.at("key").as_string("key"), json.at("msgs").as_uint("msgs"),
+                    json.at("bytes").as_uint("bytes")});
   }
   return rows;
 }

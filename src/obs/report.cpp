@@ -5,9 +5,11 @@
 #include <iomanip>
 #include <ostream>
 
-#include "curb/obs/export.hpp"
+#include "curb/prof/json.hpp"
 
 namespace curb::obs {
+
+using prof::json_escape;
 
 namespace {
 
@@ -242,116 +244,18 @@ void write_anomalies_json(const TraceAnalysis& analysis, std::ostream& out) {
   out << "]}\n";
 }
 
-std::size_t DiffResult::regressions() const {
-  std::size_t n = 0;
-  for (const DiffEntry& e : entries) {
-    if (e.regression) ++n;
+prof::BenchEntry bench_entry(const TraceAnalysis& analysis) {
+  prof::BenchEntry entry;
+  entry.bench = "trace";
+  if (analysis.e2e().count > 0) {
+    entry.values["e2e_us.p50_us"] = static_cast<double>(analysis.e2e().p50_us);
   }
-  return n;
-}
-
-DiffResult diff_analyses(const TraceAnalysis& baseline, const TraceAnalysis& candidate,
-                         const DiffOptions& options) {
-  DiffResult diff;
-  diff.base_complete = baseline.complete_count();
-  diff.cand_complete = candidate.complete_count();
-  diff.base_anomalies = baseline.findings().size();
-  diff.cand_anomalies = candidate.findings().size();
-
-  const auto compare = [&](const std::string& metric, const LatencyStats* base,
-                           const LatencyStats* cand) {
-    DiffEntry entry;
-    entry.metric = metric;
-    entry.in_baseline = base != nullptr && base->count > 0;
-    entry.in_candidate = cand != nullptr && cand->count > 0;
-    if (entry.in_baseline) {
-      entry.base_p50_us = base->p50_us;
-      entry.base_mean_us = base->mean_us();
-    }
-    if (entry.in_candidate) {
-      entry.cand_p50_us = cand->p50_us;
-      entry.cand_mean_us = cand->mean_us();
-    }
-    if (entry.in_baseline && entry.in_candidate) {
-      const std::int64_t delta = entry.cand_p50_us - entry.base_p50_us;
-      if (entry.base_p50_us != 0) {
-        entry.delta_pct = 100.0 * static_cast<double>(delta) /
-                          static_cast<double>(entry.base_p50_us);
-      }
-      entry.regression =
-          delta > options.floor_us && entry.delta_pct > options.threshold_pct;
-    } else if (entry.in_candidate && !entry.in_baseline) {
-      // A phase that appears only in the candidate run is a structural
-      // change worth flagging, not a silent pass.
-      entry.regression = entry.cand_p50_us > options.floor_us;
-    }
-    diff.entries.push_back(entry);
-  };
-
-  compare("e2e", &baseline.e2e(), &candidate.e2e());
-  for (const Phase phase : kPhaseOrder) {
-    const auto base_it = baseline.phase_stats().find(phase);
-    const auto cand_it = candidate.phase_stats().find(phase);
-    const LatencyStats* base =
-        base_it != baseline.phase_stats().end() ? &base_it->second : nullptr;
-    const LatencyStats* cand =
-        cand_it != candidate.phase_stats().end() ? &cand_it->second : nullptr;
-    if (base == nullptr && cand == nullptr) continue;
-    compare(std::string{to_string(phase)}, base, cand);
+  for (const auto& [phase, stats] : analysis.phase_stats()) {
+    if (stats.count == 0) continue;
+    entry.values["phases." + std::string{to_string(phase)} + ".stats.p50_us"] =
+        static_cast<double>(stats.p50_us);
   }
-  return diff;
-}
-
-void write_diff_text(const DiffResult& diff, std::ostream& out) {
-  out << "curb-trace diff (baseline -> candidate)\n";
-  out << "  complete transactions: " << diff.base_complete << " -> "
-      << diff.cand_complete << "\n";
-  out << "  anomalies:             " << diff.base_anomalies << " -> "
-      << diff.cand_anomalies << "\n\n";
-  out << "  " << std::left << std::setw(12) << "metric" << std::right << std::setw(14)
-      << "base_p50_us" << std::setw(14) << "cand_p50_us" << std::setw(10) << "delta%"
-      << "  verdict\n";
-  for (const DiffEntry& e : diff.entries) {
-    out << "  " << std::left << std::setw(12) << e.metric << std::right;
-    if (e.in_baseline) {
-      out << std::setw(14) << e.base_p50_us;
-    } else {
-      out << std::setw(14) << "-";
-    }
-    if (e.in_candidate) {
-      out << std::setw(14) << e.cand_p50_us;
-    } else {
-      out << std::setw(14) << "-";
-    }
-    if (e.in_baseline && e.in_candidate) {
-      out << std::setw(10) << fixed1(e.delta_pct);
-    } else {
-      out << std::setw(10) << "-";
-    }
-    out << "  " << (e.regression ? "REGRESSION" : "ok") << "\n";
-  }
-  out << "\n" << diff.regressions() << " regression(s)\n";
-}
-
-void write_diff_json(const DiffResult& diff, std::ostream& out) {
-  out << "{\"base_complete\":" << diff.base_complete
-      << ",\"cand_complete\":" << diff.cand_complete
-      << ",\"base_anomalies\":" << diff.base_anomalies
-      << ",\"cand_anomalies\":" << diff.cand_anomalies
-      << ",\"regressions\":" << diff.regressions() << ",\"entries\":[";
-  for (std::size_t i = 0; i < diff.entries.size(); ++i) {
-    const DiffEntry& e = diff.entries[i];
-    if (i != 0) out << ",";
-    out << "{\"metric\":\"" << json_escape(e.metric) << "\",\"in_baseline\":"
-        << (e.in_baseline ? "true" : "false")
-        << ",\"in_candidate\":" << (e.in_candidate ? "true" : "false")
-        << ",\"base_p50_us\":" << e.base_p50_us << ",\"cand_p50_us\":" << e.cand_p50_us
-        << ",\"base_mean_us\":" << fixed3(e.base_mean_us)
-        << ",\"cand_mean_us\":" << fixed3(e.cand_mean_us)
-        << ",\"delta_pct\":" << fixed3(e.delta_pct)
-        << ",\"regression\":" << (e.regression ? "true" : "false") << "}";
-  }
-  out << "]}\n";
+  return entry;
 }
 
 }  // namespace curb::obs

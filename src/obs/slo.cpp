@@ -5,9 +5,12 @@
 #include <cmath>
 #include <ostream>
 
-#include "curb/obs/export.hpp"
+#include "curb/prof/json.hpp"
 
 namespace curb::obs {
+
+using prof::json_double;
+using prof::json_escape;
 
 const char* to_string(SloAgg agg) {
   switch (agg) {

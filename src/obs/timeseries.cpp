@@ -1,14 +1,16 @@
 #include "curb/obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
 
-#include "curb/obs/export.hpp"
+#include "curb/prof/json.hpp"
 
 namespace curb::obs {
+
+using prof::json_double;
+using prof::json_escape;
 
 namespace {
 
@@ -238,147 +240,41 @@ void write_ts_window_json(const TsWindow& window, std::ostream& out) {
 
 namespace {
 
-/// Minimal parser for the exact JSON subset write_ts_window_json emits.
-class TsLineParser {
- public:
-  explicit TsLineParser(const std::string& line) : s_{line} {}
-
-  TsWindow parse() {
-    TsWindow window;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "w") window.index = static_cast<std::uint64_t>(parse_number());
-      else if (key == "start_us") window.start = sim::SimTime::micros(parse_int());
-      else if (key == "end_us") window.end = sim::SimTime::micros(parse_int());
-      else if (key == "partial") window.partial = parse_bool();
-      else if (key == "series") window.series = parse_series();
-      else throw std::runtime_error{"parse_ts_jsonl: unknown key " + key};
-    }
-    expect('}');
-    return window;
+TsValue value_from_json(const prof::JsonValue& json) {
+  TsValue v;
+  for (const auto& [key, member] : json.as_object("series value")) {
+    if (key == "kind") {
+      const std::string& kind = member.as_string(key);
+      if (kind == "rate") v.kind = TsValue::Kind::kRate;
+      else if (kind == "gauge") v.kind = TsValue::Kind::kGauge;
+      else if (kind == "hist") v.kind = TsValue::Kind::kHist;
+      else throw std::runtime_error{"parse_ts_jsonl: unknown kind " + kind};
+    } else if (key == "value") v.value = member.as_number(key);
+    else if (key == "count") v.count = member.as_uint(key);
+    else if (key == "sum") v.sum = member.as_number(key);
+    else if (key == "p50") v.p50 = member.as_number(key);
+    else if (key == "p90") v.p90 = member.as_number(key);
+    else if (key == "p99") v.p99 = member.as_number(key);
+    else throw std::runtime_error{"parse_ts_jsonl: unknown value key " + key};
   }
+  return v;
+}
 
- private:
-  std::vector<std::pair<std::string, TsValue>> parse_series() {
-    std::vector<std::pair<std::string, TsValue>> out;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      out.emplace_back(key, parse_value());
-    }
-    expect('}');
-    return out;
-  }
-
-  TsValue parse_value() {
-    TsValue v;
-    expect('{');
-    bool first = true;
-    while (peek() != '}') {
-      if (!first) expect(',');
-      first = false;
-      const std::string key = parse_string();
-      expect(':');
-      if (key == "kind") {
-        const std::string kind = parse_string();
-        if (kind == "rate") v.kind = TsValue::Kind::kRate;
-        else if (kind == "gauge") v.kind = TsValue::Kind::kGauge;
-        else if (kind == "hist") v.kind = TsValue::Kind::kHist;
-        else throw std::runtime_error{"parse_ts_jsonl: unknown kind " + kind};
-      } else if (key == "value") v.value = parse_number();
-      else if (key == "count") v.count = static_cast<std::uint64_t>(parse_number());
-      else if (key == "sum") v.sum = parse_number();
-      else if (key == "p50") v.p50 = parse_number();
-      else if (key == "p90") v.p90 = parse_number();
-      else if (key == "p99") v.p99 = parse_number();
-      else throw std::runtime_error{"parse_ts_jsonl: unknown value key " + key};
-    }
-    expect('}');
-    return v;
-  }
-
-  [[nodiscard]] char peek() const {
-    if (pos_ >= s_.size()) throw std::runtime_error{"parse_ts_jsonl: truncated line"};
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) {
-      throw std::runtime_error{std::string{"parse_ts_jsonl: expected '"} + c + "'"};
-    }
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        const char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) {
-              throw std::runtime_error{"parse_ts_jsonl: bad \\u escape"};
-            }
-            const unsigned code = std::stoul(s_.substr(pos_, 4), nullptr, 16);
-            pos_ += 4;
-            out += static_cast<char>(code);
-            break;
-          }
-          default: throw std::runtime_error{"parse_ts_jsonl: bad escape"};
-        }
-      } else {
-        out += c;
+TsWindow window_from_json(const prof::JsonValue& json) {
+  TsWindow window;
+  for (const auto& [key, member] : json.as_object("window")) {
+    if (key == "w") window.index = member.as_uint(key);
+    else if (key == "start_us") window.start = sim::SimTime::micros(member.as_int(key));
+    else if (key == "end_us") window.end = sim::SimTime::micros(member.as_int(key));
+    else if (key == "partial") window.partial = member.as_bool(key);
+    else if (key == "series") {
+      for (const auto& [name, value] : member.as_object(key)) {
+        window.series.emplace_back(name, value_from_json(value));
       }
-    }
-    ++pos_;  // closing quote
-    return out;
+    } else throw std::runtime_error{"parse_ts_jsonl: unknown key " + key};
   }
-
-  bool parse_bool() {
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    throw std::runtime_error{"parse_ts_jsonl: expected bool"};
-  }
-
-  std::int64_t parse_int() { return static_cast<std::int64_t>(parse_number()); }
-
-  double parse_number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '-' ||
-            s_[pos_] == '+' || s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) throw std::runtime_error{"parse_ts_jsonl: expected number"};
-    return std::stod(s_.substr(start, pos_ - start));
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+  return window;
+}
 
 }  // namespace
 
@@ -387,14 +283,10 @@ std::vector<TsWindow> parse_ts_jsonl(std::istream& in) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    // A live producer may have been caught mid-line; only complete objects
-    // (closed by '}') are parsed, anything else is a hard error unless it
-    // is the trailing partial line.
-    if (line.back() != '}') {
-      if (in.peek() == std::istream::traits_type::eof()) break;
-      throw std::runtime_error{"parse_ts_jsonl: malformed line"};
-    }
-    out.push_back(TsLineParser{line}.parse());
+    // A live producer may have been caught mid-line: a final line that is
+    // not closed by '}' is skipped; every other line must parse.
+    if (line.back() != '}' && in.peek() == std::istream::traits_type::eof()) break;
+    out.push_back(window_from_json(prof::parse_json(line)));
   }
   return out;
 }

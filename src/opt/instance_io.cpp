@@ -5,7 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "curb/prof/bench_diff.hpp"
+#include "curb/prof/json.hpp"
 
 namespace curb::opt {
 
@@ -46,49 +46,23 @@ void append_matrix(std::string& out, const char* indent,
   out += ']';
 }
 
-[[nodiscard]] const JsonValue& member(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    throw std::runtime_error{"instance_from_json: missing key '" + std::string{key} + "'"};
-  }
-  return *v;
-}
-
-[[nodiscard]] double as_number(const JsonValue& v, const char* what) {
-  if (v.type != JsonValue::Type::kNumber) {
-    throw std::runtime_error{"instance_from_json: '" + std::string{what} +
-                             "' is not a number"};
-  }
-  return v.number;
-}
-
 [[nodiscard]] std::vector<double> as_vector(const JsonValue& v, const char* what) {
-  if (v.type != JsonValue::Type::kArray) {
-    throw std::runtime_error{"instance_from_json: '" + std::string{what} +
-                             "' is not an array"};
-  }
   std::vector<double> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& e : v.array) out.push_back(as_number(e, what));
+  for (const JsonValue& e : v.as_array(what)) out.push_back(e.as_number(what));
   return out;
 }
 
 [[nodiscard]] std::vector<std::vector<double>> as_matrix(const JsonValue& v,
                                                          const char* what) {
-  if (v.type != JsonValue::Type::kArray) {
-    throw std::runtime_error{"instance_from_json: '" + std::string{what} +
-                             "' is not an array"};
-  }
   std::vector<std::vector<double>> out;
-  out.reserve(v.array.size());
-  for (const JsonValue& row : v.array) out.push_back(as_vector(row, what));
+  for (const JsonValue& row : v.as_array(what)) out.push_back(as_vector(row, what));
   return out;
 }
 
 /// null -> kNoLimit, number -> itself.
 [[nodiscard]] double as_limit(const JsonValue& v, const char* what) {
   if (v.type == JsonValue::Type::kNull) return CapInstance::kNoLimit;
-  return as_number(v, what);
+  return v.as_number(what);
 }
 
 }  // namespace
@@ -160,40 +134,30 @@ StoredInstance instance_from_json(const std::string& text) {
     stored.name = name->str;
   }
   CapInstance& inst = stored.instance;
-  inst.num_switches =
-      static_cast<std::size_t>(as_number(member(root, "num_switches"), "num_switches"));
-  inst.num_controllers = static_cast<std::size_t>(
-      as_number(member(root, "num_controllers"), "num_controllers"));
+  inst.num_switches = root.at("num_switches").as_uint("num_switches");
+  inst.num_controllers = root.at("num_controllers").as_uint("num_controllers");
   inst.group_size.clear();
-  for (const double g : as_vector(member(root, "group_size"), "group_size")) {
-    inst.group_size.push_back(static_cast<int>(g));
+  for (const JsonValue& g : root.at("group_size").as_array("group_size")) {
+    inst.group_size.push_back(static_cast<int>(g.as_int("group_size")));
   }
-  inst.switch_load = as_vector(member(root, "switch_load"), "switch_load");
+  inst.switch_load = as_vector(root.at("switch_load"), "switch_load");
   inst.controller_capacity =
-      as_vector(member(root, "controller_capacity"), "controller_capacity");
-  inst.max_cs_delay = as_limit(member(root, "max_cs_delay"), "max_cs_delay");
-  inst.max_cc_delay = as_limit(member(root, "max_cc_delay"), "max_cc_delay");
-  inst.cs_delay = as_matrix(member(root, "cs_delay"), "cs_delay");
-  inst.cc_delay = as_matrix(member(root, "cc_delay"), "cc_delay");
+      as_vector(root.at("controller_capacity"), "controller_capacity");
+  inst.max_cs_delay = as_limit(root.at("max_cs_delay"), "max_cs_delay");
+  inst.max_cc_delay = as_limit(root.at("max_cc_delay"), "max_cc_delay");
+  inst.cs_delay = as_matrix(root.at("cs_delay"), "cs_delay");
+  inst.cc_delay = as_matrix(root.at("cc_delay"), "cc_delay");
   inst.byzantine.clear();
-  const JsonValue& byz = member(root, "byzantine");
-  if (byz.type != JsonValue::Type::kArray) {
-    throw std::runtime_error{"instance_from_json: 'byzantine' is not an array"};
-  }
-  for (const JsonValue& b : byz.array) {
-    if (b.type != JsonValue::Type::kBool) {
-      throw std::runtime_error{"instance_from_json: 'byzantine' element is not a bool"};
-    }
-    inst.byzantine.push_back(b.boolean);
+  for (const JsonValue& b : root.at("byzantine").as_array("byzantine")) {
+    inst.byzantine.push_back(b.as_bool("byzantine"));
   }
   inst.fixed_leader.clear();
-  for (const double leader :
-       as_vector(member(root, "fixed_leader"), "fixed_leader")) {
-    const int l = static_cast<int>(leader);
+  for (const JsonValue& leader : root.at("fixed_leader").as_array("fixed_leader")) {
+    const auto l = static_cast<int>(leader.as_int("fixed_leader"));
     inst.fixed_leader.push_back(l < 0 ? std::nullopt : std::optional<int>{l});
   }
   if (const JsonValue* opt = root.find("tcr_optimum"); opt != nullptr) {
-    stored.tcr_optimum = as_number(*opt, "tcr_optimum");
+    stored.tcr_optimum = opt->as_number("tcr_optimum");
   }
   if (const JsonValue* feas = root.find("feasible");
       feas != nullptr && feas->type == JsonValue::Type::kBool) {

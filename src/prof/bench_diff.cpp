@@ -1,7 +1,6 @@
 #include "curb/prof/bench_diff.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <istream>
@@ -9,195 +8,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "curb/prof/json.hpp"
+
 namespace curb::prof {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// JSON parsing (recursive descent over the exporter subset + standard JSON).
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string_view text) : text_{text} {}
-
-  JsonValue parse_document() {
-    JsonValue value = parse_value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing characters after document");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error{"json: " + what + " at offset " + std::to_string(pos_)};
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    skip_ws();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string{"expected '"} + c + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  JsonValue parse_value() {
-    const char c = peek();
-    switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': {
-        JsonValue v;
-        v.type = JsonValue::Type::kString;
-        v.str = parse_string();
-        return v;
-      }
-      case 't':
-      case 'f': {
-        JsonValue v;
-        v.type = JsonValue::Type::kBool;
-        v.boolean = c == 't';
-        if (!consume_literal(c == 't' ? "true" : "false")) fail("bad literal");
-        return v;
-      }
-      case 'n': {
-        if (!consume_literal("null")) fail("bad literal");
-        return JsonValue{};
-      }
-      default: return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue v;
-    v.type = JsonValue::Type::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      expect(':');
-      v.object.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return v;
-      if (c != ',') fail("expected ',' or '}'");
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue v;
-    v.type = JsonValue::Type::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    for (;;) {
-      v.array.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return v;
-      if (c != ',') fail("expected ',' or ']'");
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code += static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code += static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          // Exporters only escape control characters; keep BMP handling simple.
-          if (code < 0x80) {
-            out.push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default: fail("bad escape");
-      }
-    }
-    fail("unterminated string");
-  }
-
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected value");
-    JsonValue v;
-    v.type = JsonValue::Type::kNumber;
-    try {
-      std::size_t used = 0;
-      v.number = std::stod(std::string{text_.substr(start, pos_ - start)}, &used);
-      if (used != pos_ - start) throw std::invalid_argument{"partial"};
-    } catch (const std::exception&) {
-      pos_ = start;
-      fail("bad number");
-    }
-    return v;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
 
 /// Name an array element for flattening: phases/components arrays carry a
 /// string key naming the element; fall back to the index.
@@ -236,40 +51,20 @@ void flatten_numbers(const JsonValue& value, const std::string& prefix,
 
 }  // namespace
 
-const JsonValue* JsonValue::find(const std::string& key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-JsonValue parse_json(std::string_view text) {
-  return JsonParser{text}.parse_document();
-}
-
 std::string BenchEntry::key() const {
   std::string out = bench;
   for (const auto& [k, v] : params) out += " " + k + "=" + v;
   return out;
 }
 
-std::vector<BenchEntry> parse_bench_entries(const JsonValue& root) {
-  if (root.type != JsonValue::Type::kArray) {
-    throw std::runtime_error{"bench json: expected a top-level array"};
-  }
+std::vector<BenchEntry> parse_bench_json(std::istream& in) {
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const JsonValue root = parse_json(buffer.str());
   std::vector<BenchEntry> entries;
-  for (const JsonValue& element : root.array) {
-    if (element.type != JsonValue::Type::kObject) {
-      throw std::runtime_error{"bench json: expected entry objects"};
-    }
+  for (const JsonValue& element : root.as_array("bench results")) {
     BenchEntry entry;
-    if (const JsonValue* bench = element.find("bench");
-        bench != nullptr && bench->type == JsonValue::Type::kString) {
-      entry.bench = bench->str;
-    } else {
-      throw std::runtime_error{"bench json: entry without \"bench\" name"};
-    }
+    entry.bench = element.at("bench").as_string("bench");
     if (const JsonValue* params = element.find("params");
         params != nullptr && params->type == JsonValue::Type::kObject) {
       for (const auto& [k, v] : params->object) {
@@ -277,19 +72,13 @@ std::vector<BenchEntry> parse_bench_entries(const JsonValue& root) {
             k, v.type == JsonValue::Type::kString ? v.str : std::string{});
       }
     }
-    for (const auto& [key, member] : element.object) {
+    for (const auto& [key, member] : element.as_object("bench entry")) {
       if (key == "bench" || key == "params") continue;
       flatten_numbers(member, key, entry.values);
     }
     entries.push_back(std::move(entry));
   }
   return entries;
-}
-
-std::vector<BenchEntry> parse_bench_json(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_bench_entries(parse_json(buffer.str()));
 }
 
 bool higher_is_better(const std::string& metric) {
@@ -338,9 +127,18 @@ PerfDiffResult perf_diff(const std::vector<BenchEntry>& base,
     }
     matched[b.key()] = true;
     ++result.entries_compared;
+    const std::map<std::string, double>& cand_values = it->second->values;
+    for (const auto& [metric, value] : cand_values) {
+      if (!b.values.contains(metric)) {
+        result.only_candidate.push_back(b.key() + "  " + metric);
+      }
+    }
     for (const auto& [metric, base_value] : b.values) {
-      const auto cit = it->second->values.find(metric);
-      if (cit == it->second->values.end()) continue;
+      const auto cit = cand_values.find(metric);
+      if (cit == cand_values.end()) {
+        result.only_base.push_back(b.key() + "  " + metric);
+        continue;
+      }
       ++result.metrics_compared;
       const double cand_value = cit->second;
       const double abs_delta = std::abs(cand_value - base_value);
@@ -389,16 +187,6 @@ const char* status_name(MetricDelta::Status status) {
   return "?";
 }
 
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 void write_perf_diff_text(const PerfDiffResult& diff, std::ostream& out) {
@@ -428,19 +216,19 @@ void write_perf_diff_json(const PerfDiffResult& diff, std::ostream& out) {
       << ",\"warnings\":" << diff.warnings()
       << ",\"improvements\":" << diff.improvements() << ",\"only_base\":[";
   for (std::size_t i = 0; i < diff.only_base.size(); ++i) {
-    out << (i > 0 ? "," : "") << "\"" << json_escape_min(diff.only_base[i]) << "\"";
+    out << (i > 0 ? "," : "") << "\"" << json_escape(diff.only_base[i]) << "\"";
   }
   out << "],\"only_candidate\":[";
   for (std::size_t i = 0; i < diff.only_candidate.size(); ++i) {
-    out << (i > 0 ? "," : "") << "\"" << json_escape_min(diff.only_candidate[i]) << "\"";
+    out << (i > 0 ? "," : "") << "\"" << json_escape(diff.only_candidate[i]) << "\"";
   }
   out << "],\"deltas\":[";
   char buf[64];
   for (std::size_t i = 0; i < diff.deltas.size(); ++i) {
     const MetricDelta& d = diff.deltas[i];
     if (i > 0) out << ",";
-    out << "{\"entry\":\"" << json_escape_min(d.entry) << "\",\"metric\":\""
-        << json_escape_min(d.metric) << "\",\"status\":\"" << status_name(d.status)
+    out << "{\"entry\":\"" << json_escape(d.entry) << "\",\"metric\":\""
+        << json_escape(d.metric) << "\",\"status\":\"" << status_name(d.status)
         << "\",\"base\":";
     std::snprintf(buf, sizeof buf, "%.6g", d.base);
     out << buf << ",\"candidate\":";

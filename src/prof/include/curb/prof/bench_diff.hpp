@@ -1,8 +1,10 @@
 #pragma once
 
-// Bench-trajectory comparison: parse two BENCH_results.json files and flag
-// per-metric regressions. This is the gate every later performance PR runs
-// against — `curb-prof perf-diff BENCH_baseline.json BENCH_results.json`.
+// The one run-comparison engine: match entries of two runs by key and flag
+// per-metric regressions. `curb-prof perf-diff` feeds it BENCH_results.json
+// files; `curb-trace diff` (obs::bench_entry over a span dump) and
+// `curb-prof mem-diff` (obs::res::bench_entry over a memory profile) feed it
+// one entry per input, and all three print through write_perf_diff_text/json.
 //
 // Virtual-time metrics (latency, phases, message counts) are deterministic
 // per seed and diff hard; `host.*` metrics are wall-clock measurements of
@@ -15,26 +17,6 @@
 #include <vector>
 
 namespace curb::prof {
-
-/// Minimal JSON value (objects keep insertion order). Exactly the subset the
-/// curb exporters emit; good enough to round-trip-validate them in tests.
-struct JsonValue {
-  enum class Type : std::uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// Object member lookup; nullptr when absent or not an object.
-  [[nodiscard]] const JsonValue* find(const std::string& key) const;
-};
-
-/// Parse a complete JSON document (throws std::runtime_error on malformed
-/// input or trailing garbage).
-[[nodiscard]] JsonValue parse_json(std::string_view text);
 
 /// One BENCH_results.json entry, flattened: every numeric field becomes a
 /// dotted metric ("metrics.latency_ms", "e2e_us.p99_us",
@@ -51,7 +33,6 @@ struct BenchEntry {
 
 /// Parse a BENCH_results.json array (throws std::runtime_error).
 [[nodiscard]] std::vector<BenchEntry> parse_bench_json(std::istream& in);
-[[nodiscard]] std::vector<BenchEntry> parse_bench_entries(const JsonValue& root);
 
 struct PerfDiffOptions {
   /// Relative-change gate for virtual-time metrics, percent.
@@ -77,10 +58,13 @@ struct MetricDelta {
   Status status = Status::kWarned;
 };
 
+/// A metric present in only one of two matched entries is never compared:
+/// like an unmatched entry it is listed in only_base/only_candidate, as
+/// "<entry key>  <metric>".
 struct PerfDiffResult {
   std::vector<MetricDelta> deltas;        // beyond-threshold changes only
-  std::vector<std::string> only_base;      // entries missing from the candidate
-  std::vector<std::string> only_candidate; // entries missing from the baseline
+  std::vector<std::string> only_base;      // entries/metrics missing from the candidate
+  std::vector<std::string> only_candidate; // entries/metrics missing from the baseline
   std::size_t entries_compared = 0;
   std::size_t metrics_compared = 0;
 

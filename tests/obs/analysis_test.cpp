@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "curb/obs/analysis.hpp"
 #include "curb/obs/report.hpp"
+#include "curb/prof/bench_diff.hpp"
 
 namespace curb::obs {
 namespace {
@@ -264,14 +266,23 @@ TEST(Report, JsonIsDeterministic) {
   EXPECT_EQ(ja.str(), jb.str());
 }
 
+/// The metrics of `diff` that regressed.
+std::set<std::string> regressed(const prof::PerfDiffResult& diff) {
+  std::set<std::string> out;
+  for (const prof::MetricDelta& d : diff.deltas) {
+    if (d.status == prof::MetricDelta::Status::kRegressed) out.insert(d.metric);
+  }
+  return out;
+}
+
 TEST(Diff, IdenticalRunsShowNoRegression) {
-  const TraceAnalysis a{clean_chain()};
-  const TraceAnalysis b{clean_chain()};
-  const DiffResult diff = diff_analyses(a, b);
+  const prof::BenchEntry a = bench_entry(TraceAnalysis{clean_chain()});
+  const prof::BenchEntry b = bench_entry(TraceAnalysis{clean_chain()});
+  const prof::PerfDiffResult diff = prof::perf_diff({a}, {b}, kTraceDiffOptions);
   EXPECT_EQ(diff.regressions(), 0u);
-  ASSERT_FALSE(diff.entries.empty());
-  EXPECT_EQ(diff.entries.front().metric, "e2e");
-  EXPECT_DOUBLE_EQ(diff.entries.front().delta_pct, 0.0);
+  ASSERT_EQ(a.values.count("e2e_us.p50_us"), 1u);
+  EXPECT_EQ(diff.metrics_compared, a.values.size());
+  EXPECT_TRUE(diff.deltas.empty());  // every metric moved by 0%
 }
 
 TEST(Diff, FlagsSlowdownAboveThreshold) {
@@ -279,17 +290,12 @@ TEST(Diff, FlagsSlowdownAboveThreshold) {
   // Stretch the reply phase by 50 ms: e2e and reply regress, others don't.
   slow[0].end = sim::SimTime::micros(150000);
   slow[1].end = sim::SimTime::micros(150000);
-  const TraceAnalysis base{clean_chain()};
-  const TraceAnalysis cand{slow};
-  const DiffResult diff = diff_analyses(base, cand);
-  EXPECT_GT(diff.regressions(), 0u);
-  for (const DiffEntry& e : diff.entries) {
-    if (e.metric == "e2e" || e.metric == "reply") {
-      EXPECT_TRUE(e.regression) << e.metric;
-    } else {
-      EXPECT_FALSE(e.regression) << e.metric;
-    }
-  }
+  const prof::BenchEntry base = bench_entry(TraceAnalysis{clean_chain()});
+  const prof::BenchEntry cand = bench_entry(TraceAnalysis{slow});
+  const prof::PerfDiffResult diff = prof::perf_diff({base}, {cand}, kTraceDiffOptions);
+  EXPECT_GT(diff.metrics_compared, 2u);
+  EXPECT_EQ(regressed(diff),
+            (std::set<std::string>{"e2e_us.p50_us", "phases.reply.stats.p50_us"}));
 }
 
 }  // namespace

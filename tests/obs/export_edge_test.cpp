@@ -9,7 +9,7 @@
 #include "curb/obs/export.hpp"
 #include "curb/obs/metrics.hpp"
 #include "curb/obs/trace.hpp"
-#include "curb/prof/bench_diff.hpp"
+#include "curb/prof/json.hpp"
 #include "curb/sim/simulator.hpp"
 
 namespace obs = curb::obs;

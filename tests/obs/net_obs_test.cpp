@@ -234,6 +234,19 @@ TEST(Report, LedgerJsonlRoundTrips) {
   EXPECT_EQ(rows[1].msgs, 6u);
 }
 
+TEST(Report, LedgerRejectsMalformedRows) {
+  // Each must fail the whole read: a dropped row or a count read as 0 would
+  // undercount the audit.
+  const std::string good = R"({"category":"PKT-IN","key":"2:1","msgs":6,"bytes":600})";
+  for (const char* bad : {R"({"category":"AGREE","key":"k","msgs":abc,"bytes":1})",
+                          R"({"category":"AGREE","key":"k","msgs":16,"bytes":16)",
+                          R"({"category":"AGREE","key":"k","msgs":16})",
+                          R"({"category":"AGREE","key":"k","msgs":1,"bytes":1,"x":0})"}) {
+    std::istringstream in{good + "\n" + bad + "\n" + good + "\n"};
+    EXPECT_THROW((void)parse_ledger_jsonl(in), std::runtime_error) << bad;
+  }
+}
+
 TEST(Report, ComplexityWritersCoverCleanAndExceedingRounds) {
   Attrs clean = clean_round_attrs();
   Attrs bad = clean_round_attrs();

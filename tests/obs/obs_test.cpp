@@ -8,8 +8,11 @@
 
 #include "curb/obs/export.hpp"
 #include "curb/obs/metrics.hpp"
+#include "curb/obs/net/report.hpp"
 #include "curb/obs/observatory.hpp"
+#include "curb/obs/timeseries.hpp"
 #include "curb/obs/trace.hpp"
+#include "curb/prof/json.hpp"
 #include "curb/sim/simulator.hpp"
 #include "curb/sim/time.hpp"
 
@@ -299,11 +302,11 @@ TEST(ScopedSpan, ClosesOnScopeExit) {
 // -------------------------------------------------------------- exporters
 
 TEST(Export, JsonEscape) {
-  EXPECT_EQ(json_escape("plain"), "plain");
-  EXPECT_EQ(json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
-  EXPECT_EQ(json_escape(std::string{"a\x01z"}), "a\\u0001z");
+  EXPECT_EQ(prof::json_escape("plain"), "plain");
+  EXPECT_EQ(prof::json_escape("a\"b"), "a\\\"b");
+  EXPECT_EQ(prof::json_escape("a\\b"), "a\\\\b");
+  EXPECT_EQ(prof::json_escape("a\nb\tc"), "a\\nb\\tc");
+  EXPECT_EQ(prof::json_escape(std::string{"a\x01z"}), "a\\u0001z");
 }
 
 TEST(Export, SpansJsonlRoundTrip) {
@@ -338,6 +341,34 @@ TEST(Export, SpansJsonlRoundTrip) {
 TEST(Export, ParseRejectsGarbage) {
   std::stringstream buf{"{\"id\":not-json}\n"};
   EXPECT_THROW((void)parse_spans_jsonl(buf), std::runtime_error);
+}
+
+TEST(Export, ReadersTakeOnlyWholeIntegersInRange) {
+  // "id":-1 must not wrap around to 2^64-1.
+  for (const char* line : {R"({"id":-1})", R"({"parent":1.5})", R"({"start_us":1e300})",
+                           R"({"end_us":0.5})"}) {
+    std::istringstream in{line};
+    EXPECT_THROW((void)parse_spans_jsonl(in), std::runtime_error) << line;
+  }
+  for (const char* line : {R"({"w":-1,"series":{}})",
+                           R"({"w":0,"series":{"h":{"kind":"hist","count":2.5}}})"}) {
+    std::istringstream in{line};
+    EXPECT_THROW((void)parse_ts_jsonl(in), std::runtime_error) << line;
+  }
+  for (const char* line : {R"({"category":"AGREE","key":"k","msgs":-3,"bytes":0})",
+                           R"({"category":"AGREE","key":"k","msgs":3,"bytes":0.5})"}) {
+    std::istringstream in{line};
+    EXPECT_THROW((void)net::parse_ledger_jsonl(in), std::runtime_error) << line;
+  }
+}
+
+TEST(Export, ReadersRejectCharactersAfterTheObject) {
+  std::istringstream spans{R"({"id":1}garbage)"};
+  EXPECT_THROW((void)parse_spans_jsonl(spans), std::runtime_error);
+  std::istringstream windows{R"({"w":0,"series":{}}x})"};
+  EXPECT_THROW((void)parse_ts_jsonl(windows), std::runtime_error);
+  std::istringstream ledger{R"({"category":"AGREE","key":"k","msgs":1,"bytes":1},)"};
+  EXPECT_THROW((void)net::parse_ledger_jsonl(ledger), std::runtime_error);
 }
 
 TEST(Export, ChromeTraceShape) {

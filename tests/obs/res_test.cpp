@@ -1,6 +1,6 @@
 // curb::obs::res unit tests: counter bookkeeping via the detail hooks (which
 // work whether or not the process-wide latch is on), the mem-profile JSON
-// round-trip, mem_diff thresholds, the collapsed-stack memory export, and —
+// round-trip, mem-diff thresholds, the collapsed-stack memory export, and —
 // when the binary runs with CURB_MEM_ACCOUNT=1 (the res_tests ctest
 // registration does) — the real interposed-allocator path.
 
@@ -117,18 +117,23 @@ TEST(ResReport, MemReportShowsAttributionCoverage) {
       << text;
 }
 
+std::size_t mem_regressions(const MemSnapshot& base, const MemSnapshot& candidate,
+                            prof::PerfDiffOptions options = kMemDiffOptions) {
+  return prof::perf_diff({bench_entry(base)}, {bench_entry(candidate)}, options)
+      .regressions();
+}
+
 TEST(ResDiff, GrowthBeyondThresholdRegresses) {
   const MemSnapshot base = sample_snapshot();
   MemSnapshot candidate = base;
   candidate.tags[kCrypto].alloc_bytes = 40000;  // +100% > 25%, > 4096 floor
   candidate.total.alloc_bytes = 70000;
 
-  const MemDiffResult diff = mem_diff(base, candidate);
-  EXPECT_GT(diff.regressions(), 0u);
+  EXPECT_GT(mem_regressions(base, candidate), 0u);
 
-  MemDiffOptions warn;
+  prof::PerfDiffOptions warn = kMemDiffOptions;
   warn.warn_only = true;
-  EXPECT_EQ(mem_diff(base, candidate, warn).regressions(), 0u);
+  EXPECT_EQ(mem_regressions(base, candidate, warn), 0u);
 }
 
 TEST(ResDiff, ShrinkageAndJitterDoNotRegress) {
@@ -136,15 +141,15 @@ TEST(ResDiff, ShrinkageAndJitterDoNotRegress) {
 
   MemSnapshot shrunk = base;
   shrunk.tags[kBft].alloc_bytes = 8000;  // big improvement — report, no fail
-  EXPECT_EQ(mem_diff(base, shrunk).regressions(), 0u);
+  EXPECT_EQ(mem_regressions(base, shrunk), 0u);
 
   MemSnapshot jitter = base;
   jitter.tags[kCrypto].alloc_bytes += 2048;  // below the 4096-byte floor
-  EXPECT_EQ(mem_diff(base, jitter).regressions(), 0u);
+  EXPECT_EQ(mem_regressions(base, jitter), 0u);
 
   MemSnapshot small_pct = base;
   small_pct.tags[kBft].alloc_bytes += 5000;  // +20% < 25% threshold
-  EXPECT_EQ(mem_diff(base, small_pct).regressions(), 0u);
+  EXPECT_EQ(mem_regressions(base, small_pct), 0u);
 }
 
 TEST(ResReport, CollapsedExportEmitsFramePathsWithBytes) {

@@ -12,6 +12,7 @@
 #include "curb/obs/export.hpp"
 #include "curb/obs/observatory.hpp"
 #include "curb/obs/report.hpp"
+#include "curb/prof/bench_diff.hpp"
 
 namespace curb::core {
 namespace {
@@ -135,9 +136,12 @@ TEST(TracePipeline, SameSeedDiffShowsNoRegression) {
   CurbSimulation sim_b = traced_sim();
   (void)sim_a.run_packet_in_round(2);
   (void)sim_b.run_packet_in_round(2);
-  const obs::DiffResult diff = obs::diff_analyses(
-      obs::TraceAnalysis::from_tracer(sim_a.network().observatory()->tracer),
-      obs::TraceAnalysis::from_tracer(sim_b.network().observatory()->tracer));
+  const prof::PerfDiffResult diff = prof::perf_diff(
+      {obs::bench_entry(
+          obs::TraceAnalysis::from_tracer(sim_a.network().observatory()->tracer))},
+      {obs::bench_entry(
+          obs::TraceAnalysis::from_tracer(sim_b.network().observatory()->tracer))},
+      obs::kTraceDiffOptions);
   EXPECT_EQ(diff.regressions(), 0u);
 }
 

@@ -1,12 +1,15 @@
-// Tests for the curb-prof regression gate: the JSON parser, the
-// BENCH_results.json flattening, and perf_diff threshold semantics.
+// Tests for the curb-prof regression gate: the BENCH_results.json
+// flattening, and perf_diff threshold semantics.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "curb/prof/bench_diff.hpp"
+#include "curb/prof/json.hpp"
 
 namespace prof = curb::prof;
 
@@ -26,27 +29,6 @@ const std::string kBaseline = R"([
  "host":{"wall_ms":150.0,"events_per_sec":90000.0,
          "components":[{"component":"crypto","share_pct":40.0}]}}
 ])";
-
-TEST(JsonParser, ParsesScalarsAndNesting) {
-  const prof::JsonValue doc =
-      prof::parse_json(R"({"a":1.5,"b":[true,null,"x\n"],"c":{"d":-2e3}})");
-  ASSERT_EQ(doc.type, prof::JsonValue::Type::kObject);
-  EXPECT_DOUBLE_EQ(doc.find("a")->number, 1.5);
-  const prof::JsonValue* b = doc.find("b");
-  ASSERT_EQ(b->array.size(), 3u);
-  EXPECT_TRUE(b->array[0].boolean);
-  EXPECT_EQ(b->array[1].type, prof::JsonValue::Type::kNull);
-  EXPECT_EQ(b->array[2].str, "x\n");
-  EXPECT_DOUBLE_EQ(doc.find("c")->find("d")->number, -2000.0);
-}
-
-TEST(JsonParser, RejectsMalformedInput) {
-  EXPECT_THROW(prof::parse_json("{"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json(R"({"a":})"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json(R"({"a":1} extra)"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json(R"(["unterminated)"), std::runtime_error);
-  EXPECT_THROW(prof::parse_json("{\"a\":1,}"), std::runtime_error);
-}
 
 TEST(BenchEntries, FlattensMetricsPhasesAndHost) {
   const auto entries = entries_from(kBaseline);
@@ -186,9 +168,33 @@ TEST(PerfDiff, ReportsUnmatchedEntries) {
   ASSERT_EQ(diff.only_candidate.size(), 1u);
 }
 
+TEST(PerfDiff, OneSidedMetricIsListedNotRegressed) {
+  auto base = entries_from(kBaseline);
+  auto cand = base;
+  base[0].values["metrics.retired"] = 1.0;
+  cand[0].values["metrics.added"] = 1e9;
+  const prof::PerfDiffResult diff = prof::perf_diff(base, cand);
+  EXPECT_EQ(diff.entries_compared, 1u);
+  EXPECT_EQ(diff.metrics_compared, base[0].values.size() - 1);
+  EXPECT_TRUE(diff.deltas.empty());
+  EXPECT_EQ(diff.regressions(), 0u);
+  const std::string key = base[0].key();
+  EXPECT_EQ(diff.only_base, std::vector<std::string>{key + "  metrics.retired"});
+  EXPECT_EQ(diff.only_candidate, std::vector<std::string>{key + "  metrics.added"});
+
+  std::ostringstream text;
+  prof::write_perf_diff_text(diff, text);
+  EXPECT_NE(text.str().find("note: only in candidate: " + key + "  metrics.added"),
+            std::string::npos)
+      << text.str();
+}
+
 TEST(PerfDiff, JsonOutputParsesBack) {
-  const auto base = entries_from(kBaseline);
-  const auto cand = with_value("metrics.latency_ms", 400.0);
+  // A param with a control character: entry names must come out escaped.
+  auto base = entries_from(kBaseline);
+  base[0].params.emplace_back("note", "a\nb");
+  auto cand = base;
+  cand[0].values["metrics.latency_ms"] = 400.0;
   const prof::PerfDiffResult diff = prof::perf_diff(base, cand);
   std::ostringstream out;
   prof::write_perf_diff_json(diff, out);
@@ -196,6 +202,7 @@ TEST(PerfDiff, JsonOutputParsesBack) {
   EXPECT_DOUBLE_EQ(doc.find("regressions")->number, 1.0);
   ASSERT_EQ(doc.find("deltas")->array.size(), 1u);
   EXPECT_EQ(doc.find("deltas")->array[0].find("metric")->str, "metrics.latency_ms");
+  EXPECT_EQ(doc.find("deltas")->array[0].find("entry")->str, base[0].key());
 
   std::ostringstream text;
   prof::write_perf_diff_text(diff, text);

@@ -8,8 +8,8 @@
 #include <stdexcept>
 #include <thread>
 
-#include "curb/prof/bench_diff.hpp"
 #include "curb/prof/export.hpp"
+#include "curb/prof/json.hpp"
 #include "curb/prof/profiler.hpp"
 
 namespace prof = curb::prof;

@@ -14,12 +14,15 @@
 // any), `complexity` the Theorem 1 message-complexity audit over the run's
 // round_complexity instants (exit 1 when any PKT-IN round exceeds the
 // analytic bound; --ledger joins in a curb-sim --ledger-out dump), and
-// `diff` a phase-by-phase comparison of two runs (exit 1 on regressions).
+// `diff` compares two runs' end-to-end and per-phase p50 latency through
+// prof::perf_diff, the engine behind curb-prof perf-diff (exit 1 on
+// regressions).
 // Exit codes follow curb/core/exit_codes.hpp.
 //
 // Example: curb-sim --rounds 5 --trace-jsonl t.jsonl && curb-trace report t.jsonl
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -35,6 +38,8 @@
 #include "curb/obs/export.hpp"
 #include "curb/obs/net/report.hpp"
 #include "curb/obs/report.hpp"
+#include "curb/prof/bench_diff.hpp"
+#include "curb/prof/json.hpp"
 
 namespace {
 
@@ -55,18 +60,27 @@ using curb::core::kExitUsage;
   std::exit(kExitUsage);
 }
 
-curb::obs::TraceAnalysis load(const char* argv0, const std::string& path) {
+/// Reads `path` with `parse`. A file that cannot be opened or parsed is a
+/// usage error: print why (`argv0: PATH: <error>` for a parse error) and exit.
+template <typename Parse>
+auto read_file(const char* argv0, const std::string& path, Parse parse) {
   std::ifstream in{path};
   if (!in) {
     std::fprintf(stderr, "%s: cannot open %s\n", argv0, path.c_str());
     std::exit(kExitUsage);
   }
   try {
-    return curb::obs::TraceAnalysis{curb::obs::parse_spans_jsonl(in)};
+    return parse(in);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s: %s\n", argv0, path.c_str(), e.what());
     std::exit(kExitUsage);
   }
+}
+
+curb::obs::TraceAnalysis load(const char* argv0, const std::string& path) {
+  return read_file(argv0, path, [](std::istream& in) {
+    return curb::obs::TraceAnalysis{curb::obs::parse_spans_jsonl(in)};
+  });
 }
 
 }  // namespace
@@ -80,7 +94,7 @@ int main(int argc, char** argv) {
   std::size_t limit = 5;
   bool limit_set = false;
   std::string ledger_path;
-  curb::obs::DiffOptions diff_options;
+  curb::prof::PerfDiffOptions diff_options = curb::obs::kTraceDiffOptions;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> const char* {
@@ -100,7 +114,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--threshold") {
       number(diff_options.threshold_pct);
     } else if (arg == "--floor") {
-      number(diff_options.floor_us);
+      std::int64_t floor_us = 0;
+      number(floor_us);
+      diff_options.floor = static_cast<double>(floor_us);
     } else if (!arg.empty() && arg[0] == '-') {
       usage(argv[0]);
     } else {
@@ -146,12 +162,7 @@ int main(int argc, char** argv) {
         curb::obs::net::extract_round_complexity(analysis.spans());
     std::vector<curb::obs::net::LedgerRow> ledger;
     if (!ledger_path.empty()) {
-      std::ifstream in{ledger_path};
-      if (!in) {
-        std::fprintf(stderr, "%s: cannot open %s\n", argv[0], ledger_path.c_str());
-        return kExitUsage;
-      }
-      ledger = curb::obs::net::parse_ledger_jsonl(in);
+      ledger = read_file(argv[0], ledger_path, curb::obs::net::parse_ledger_jsonl);
     }
     if (json) {
       if (ledger_path.empty()) {
@@ -165,8 +176,8 @@ int main(int argc, char** argv) {
         bool first = true;
         for (const auto& row : ledger) {
           std::cout << (first ? "" : ",") << "{\"category\":\""
-                    << curb::obs::json_escape(row.category) << "\",\"key\":\""
-                    << curb::obs::json_escape(row.key) << "\",\"msgs\":" << row.msgs
+                    << curb::prof::json_escape(row.category) << "\",\"key\":\""
+                    << curb::prof::json_escape(row.key) << "\",\"msgs\":" << row.msgs
                     << ",\"bytes\":" << row.bytes << "}";
           first = false;
         }
@@ -215,14 +226,14 @@ int main(int argc, char** argv) {
   }
   if (command == "diff") {
     if (paths.size() != 2) usage(argv[0]);
-    const curb::obs::TraceAnalysis baseline = load(argv[0], paths[0]);
-    const curb::obs::TraceAnalysis candidate = load(argv[0], paths[1]);
-    const curb::obs::DiffResult diff =
-        curb::obs::diff_analyses(baseline, candidate, diff_options);
+    const curb::prof::BenchEntry base = curb::obs::bench_entry(load(argv[0], paths[0]));
+    const curb::prof::BenchEntry cand = curb::obs::bench_entry(load(argv[0], paths[1]));
+    const curb::prof::PerfDiffResult diff =
+        curb::prof::perf_diff({base}, {cand}, diff_options);
     if (json) {
-      curb::obs::write_diff_json(diff, std::cout);
+      curb::prof::write_perf_diff_json(diff, std::cout);
     } else {
-      curb::obs::write_diff_text(diff, std::cout);
+      curb::prof::write_perf_diff_text(diff, std::cout);
     }
     return diff.regressions() == 0 ? kExitOk : kExitFinding;
   }
