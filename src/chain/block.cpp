@@ -5,6 +5,13 @@
 
 namespace curb::chain {
 
+namespace {
+
+/// A serialized block starts with its length-prefixed header.
+BlockHeader read_header(ByteReader& r) { return BlockHeader::deserialize(r.bytes()); }
+
+}  // namespace
+
 std::vector<std::uint8_t> BlockHeader::serialize() const {
   ByteWriter w;
   w.u64(height);
@@ -78,8 +85,7 @@ std::vector<std::uint8_t> Block::serialize() const {
 Block Block::deserialize(std::span<const std::uint8_t> bytes) {
   ByteReader r{bytes};
   Block b;
-  const auto header_bytes = r.bytes();
-  b.header_ = BlockHeader::deserialize(header_bytes);
+  b.header_ = read_header(r);
   const std::uint32_t count = r.u32();
   if (count > r.remaining() / 4) throw std::invalid_argument{"block tx count too large"};
   b.txs_.reserve(count);
@@ -88,6 +94,11 @@ Block Block::deserialize(std::span<const std::uint8_t> bytes) {
     b.txs_.push_back(Transaction::deserialize(tx_bytes));
   }
   return b;
+}
+
+BlockHeader Block::deserialize_header(std::span<const std::uint8_t> bytes) {
+  ByteReader r{bytes};
+  return read_header(r);
 }
 
 }  // namespace curb::chain

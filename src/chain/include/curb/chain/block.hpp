@@ -57,6 +57,10 @@ class Block {
 
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   [[nodiscard]] static Block deserialize(std::span<const std::uint8_t> bytes);
+  /// Only the header of a serialized block, without decoding the body:
+  /// enough to recognise a block already seen. Throws std::out_of_range on a
+  /// truncated header, as deserialize() does.
+  [[nodiscard]] static BlockHeader deserialize_header(std::span<const std::uint8_t> bytes);
 
   bool operator==(const Block&) const = default;
 

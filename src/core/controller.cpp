@@ -215,7 +215,7 @@ void Controller::rebuild_replicas() {
           return false;
         }
         if (!block.well_formed()) return false;
-        return verify_block_txs(block.hash(), block);
+        return verify_block_txs(bft::payload_digest(payload), block);
       };
     }
     final_replica_ = bft::make_replica(
@@ -310,7 +310,6 @@ void Controller::crash() {
   orphan_agrees_.clear();
   final_proposal_in_flight_ = false;
   final_agree_votes_.clear();
-  final_agree_payload_.clear();
   applied_blocks_.clear();
   outstanding_tx_.clear();
   policy_table_ = {};
@@ -475,9 +474,9 @@ bool Controller::verify_tx_list_payload(const crypto::Hash256& digest,
   return ok;
 }
 
-bool Controller::verify_block_txs(const crypto::Hash256& hash,
+bool Controller::verify_block_txs(const crypto::Hash256& digest,
                                   const chain::Block& block) {
-  const auto memo = payload_verdicts_.find(hash);
+  const auto memo = payload_verdicts_.find(digest);
   if (memo != payload_verdicts_.end()) return memo->second;
   bool ok = true;
   for (const chain::Transaction& tx : block.transactions()) {
@@ -486,7 +485,7 @@ bool Controller::verify_block_txs(const crypto::Hash256& hash,
       break;
     }
   }
-  remember_verdict(hash, ok);
+  remember_verdict(digest, ok);
   return ok;
 }
 
@@ -926,26 +925,28 @@ void Controller::on_final_committed(const std::vector<std::uint8_t>& payload) {
 
 void Controller::on_final_agree(const FinalAgreeMsg& msg) {
   if (!state_.in_final_committee(msg.sender_controller)) return;
+  // An applied block is recognised from its header alone, before the body
+  // is decoded and its Merkle tree rebuilt.
+  crypto::Hash256 hash{};
   chain::Block block;
   try {
+    hash = chain::Block::deserialize_header(msg.block).hash();
+    if (applied_blocks_.contains(hash)) return;
     block = chain::Block::deserialize(msg.block);
   } catch (const std::exception&) {
     return;  // malformed
   }
   if (!block.well_formed()) return;
-  const auto hash = block.hash();
-  if (applied_blocks_.contains(hash)) return;
-  if (network_.options().verify_signatures && !verify_block_txs(hash, block)) {
+  if (network_.options().verify_signatures &&
+      !verify_block_txs(bft::payload_digest(msg.block), block)) {
     return;  // forged transaction inside the block: never vote for it
   }
   auto& votes = final_agree_votes_[hash];
   votes.insert(msg.sender_controller);
-  final_agree_payload_[hash] = msg.block;
   // Algorithm 3 line 27: f+1 matching FINAL-AGREE confirm validity.
   if (votes.size() < state_.f() + 1) return;
   applied_blocks_.insert(hash);
   final_agree_votes_.erase(hash);
-  final_agree_payload_.erase(hash);
   apply_block(block);
 }
 

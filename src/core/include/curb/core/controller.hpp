@@ -146,13 +146,14 @@ class Controller {
   [[nodiscard]] bft::ConsensusReplica* replica_for(std::uint32_t instance);
 
   // --- transaction signature verification (verify_signatures mode) ---
-  // Verdicts are memoized by payload digest / block hash on top of the
-  // process-wide crypto::SigCache, so duplicate AGREEs and the 3f+1
+  // Verdicts are memoized by the digest of the txList or block bytes on top
+  // of the process-wide crypto::SigCache, so duplicate AGREEs and the 3f+1
   // replicas validating the same proposal pay for ECDSA once.
   [[nodiscard]] bool verify_tx_signature(const chain::Transaction& tx) const;
   [[nodiscard]] bool verify_tx_list_payload(const crypto::Hash256& digest,
                                             const std::vector<std::uint8_t>& payload);
-  [[nodiscard]] bool verify_block_txs(const crypto::Hash256& hash,
+  /// `digest` is bft::payload_digest of the bytes `block` was decoded from.
+  [[nodiscard]] bool verify_block_txs(const crypto::Hash256& digest,
                                       const chain::Block& block);
   void remember_verdict(const crypto::Hash256& key, bool ok);
 
@@ -217,14 +218,15 @@ class Controller {
   /// loser's transactions would be dropped by every replica.
   bool final_proposal_in_flight_ = false;
 
-  /// Signature-verification verdicts memoized by payload digest (txLists)
-  /// or block hash (blocks). Bounded by a wholesale clear; a corrupted
-  /// payload hashes to a different key, so verdicts can never go stale.
+  /// Signature-verification verdicts memoized by the digest of the
+  /// serialized txList or block. Bounded by a wholesale clear. The key covers
+  /// every byte, signatures included, so a corrupted copy never shares a
+  /// verdict with the pristine one. (A block hash would not do: it commits
+  /// to transaction ids, and an id leaves out the signature.)
   std::map<crypto::Hash256, bool> payload_verdicts_;
 
   // FINAL-AGREE quorum tracking: block hash -> senders.
   std::map<crypto::Hash256, std::set<std::uint32_t>> final_agree_votes_;
-  std::map<crypto::Hash256, std::vector<std::uint8_t>> final_agree_payload_;
   std::set<crypto::Hash256> applied_blocks_;
   /// Non-parallel mode (paper Fig. 4(c)): a group must see its previous
   /// txList reach the chain before proposing the next one. Tracks the tx

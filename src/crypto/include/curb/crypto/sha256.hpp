@@ -13,9 +13,32 @@ namespace curb::crypto {
 /// 32-byte digest value with hashing/ordering support so it can key maps.
 using Hash256 = std::array<std::uint8_t, 32>;
 
+namespace detail {
+
+/// The eight 32-bit SHA-256 chaining words, a..h.
+using Sha256State = std::array<std::uint32_t, 8>;
+
+/// FIPS 180-4 compression of `blocks` consecutive 64-byte blocks into
+/// `state`, in portable C++. It is the path on every CPU without the SHA
+/// extensions and the reference the SHA-NI path is tested against.
+void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
+
+/// The same compression on the x86 SHA extensions. Call it only when
+/// sha_ni_available() is true; on other targets it throws std::logic_error.
+void compress_sha_ni(Sha256State& state, const std::uint8_t* data, std::size_t blocks);
+
+/// Whether CPUID reports SHA (leaf 7 EBX bit 29), SSSE3 and SSE4.1. Sha256
+/// compresses through compress_sha_ni exactly when this is true; the choice
+/// is made once per process.
+[[nodiscard]] bool sha_ni_available();
+
+}  // namespace detail
+
 /// Incremental SHA-256 (FIPS 180-4). Implemented from scratch: the paper's
 /// stack used pure-Python hashing; we provide the equivalent primitive for
 /// block hashes, transaction ids, Merkle trees, and ECDSA message digests.
+/// Compression runs on the CPU's SHA extensions where CPUID reports them and
+/// on the portable code everywhere else; both give the same digests.
 class Sha256 {
  public:
   Sha256() { reset(); }
@@ -32,9 +55,7 @@ class Sha256 {
   [[nodiscard]] static Hash256 double_digest(std::span<const std::uint8_t> data);
 
  private:
-  void process_block(const std::uint8_t* block);
-
-  std::array<std::uint32_t, 8> state_{};
+  detail::Sha256State state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;

@@ -6,6 +6,11 @@
 
 #include "curb/prof/profiler.hpp"
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace curb::crypto {
 
 namespace {
@@ -35,16 +40,7 @@ constexpr std::uint32_t small_sigma1(std::uint32_t x) {
   return std::rotr(x, 17) ^ std::rotr(x, 19) ^ (x >> 10);
 }
 
-}  // namespace
-
-void Sha256::reset() {
-  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
-            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
-  buffer_len_ = 0;
-  total_len_ = 0;
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(detail::Sha256State& state, const std::uint8_t* block) {
   std::array<std::uint32_t, 64> w;
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[i * 4]} << 24) | (std::uint32_t{block[i * 4 + 1]} << 16) |
@@ -54,7 +50,7 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  auto [a, b, c, d, e, f, g, h] = state;
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t t1 =
         h + big_sigma1(e) + ((e & f) ^ (~e & g)) + kRoundConstants[i] + w[i];
@@ -68,36 +64,135 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+/// Compresses through the path chosen once from CPUID.
+void compress(detail::Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
+  static const auto path =
+      detail::sha_ni_available() ? detail::compress_sha_ni : detail::compress_portable;
+  path(state, data, blocks);
+}
+
+}  // namespace
+
+namespace detail {
+
+void compress_portable(Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
+  for (std::size_t i = 0; i < blocks; ++i) process_block(state, data + i * 64);
+}
+
+#if defined(__x86_64__)
+
+bool sha_ni_available() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & bit_SSSE3) != 0;
+  const bool sse41 = (ecx & bit_SSE4_1) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && ssse3 && sse41;
+}
+
+// The SHA-NI round instructions keep the state as two vectors, ABEF and CDGH
+// (A in the top lane). Each sha256rnds2 runs two rounds on the low two words
+// of its message-plus-constant operand; sha256msg1/msg2 extend the message
+// schedule four words at a time.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_sha_ni(
+    Sha256State& state, const std::uint8_t* data, std::size_t blocks) {
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0]));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4]));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (std::size_t b = 0; b < blocks; ++b, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w0..w3 hold the next sixteen schedule words, four to a vector.
+    __m128i w0 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data)), byte_swap);
+    __m128i w1 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16)), byte_swap);
+    __m128i w2 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 32)), byte_swap);
+    __m128i w3 = _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 48)), byte_swap);
+#pragma GCC unroll 16
+    for (int q = 0; q < 16; ++q) {
+      const __m128i wk = _mm_add_epi32(
+          w0, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * q])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+      // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16] for the next four t.
+      const __m128i next = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4)), w3);
+      w0 = w1;
+      w1 = w2;
+      w2 = w3;
+      w3 = next;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#else
+
+bool sha_ni_available() { return false; }
+
+void compress_sha_ni(Sha256State&, const std::uint8_t*, std::size_t) {
+  throw std::logic_error{"compress_sha_ni: not an x86-64 build"};
+}
+
+#endif
+
+}  // namespace detail
+
+void Sha256::reset() {
+  state_ = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+            0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  buffer_len_ = 0;
+  total_len_ = 0;
 }
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return *this;
   total_len_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
   if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), buffer_.size() - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    const std::size_t take = std::min(left, buffer_.size() - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, in, take);
     buffer_len_ += take;
-    offset = take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    in += take;
+    left -= take;
+    if (buffer_len_ < buffer_.size()) return *this;
+    compress(state_, buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  if (const std::size_t blocks = left / 64; blocks > 0) {
+    compress(state_, in, blocks);
+    in += blocks * 64;
+    left -= blocks * 64;
   }
-  if (offset < data.size()) {
-    std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
-    buffer_len_ = data.size() - offset;
+  if (left > 0) {
+    std::memcpy(buffer_.data(), in, left);
+    buffer_len_ = left;
   }
   return *this;
 }
@@ -107,16 +202,17 @@ Sha256& Sha256::update(std::string_view data) {
 }
 
 Hash256 Sha256::finish() {
+  // The tail, the 0x80 marker and the 64-bit big-endian bit length fill one
+  // block, or two when the marker and length do not fit after the tail.
+  std::array<std::uint8_t, 128> pad{};
+  std::memcpy(pad.data(), buffer_.data(), buffer_len_);
+  pad[buffer_len_] = 0x80;
+  const std::size_t blocks = buffer_len_ + 1 > 56 ? 2 : 1;
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span{&pad_byte, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span{&zero, 1});
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // The length bytes themselves must not count toward total_len_, but update()
-  // already added the padding; at this point only the final block remains.
-  update(std::span<const std::uint8_t>{len_bytes});
+  for (int i = 0; i < 8; ++i) {
+    pad[blocks * 64 - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(state_, pad.data(), blocks);
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

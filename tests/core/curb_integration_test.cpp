@@ -13,6 +13,7 @@
 #include "curb/net/topology.hpp"
 #include "curb/obs/export.hpp"
 #include "curb/obs/observatory.hpp"
+#include "curb/prof/profiler.hpp"
 
 namespace curb::core {
 namespace {
@@ -688,6 +689,67 @@ TEST(CurbIntegration, CorruptFaultsNeverPoisonTheSignatureCache) {
     const std::uint64_t min_height = std::min(height, other.height());
     EXPECT_EQ(other.at(min_height).hash(), chain.at(min_height).hash());
   }
+}
+
+TEST(CurbIntegration, CorruptFinalAgreeNeverCommitsBadSignatures) {
+  // Corruption of FINAL-AGREE flips bytes of the serialized block, and a
+  // flipped signature leaves the block hash unchanged (a transaction id does
+  // not cover its signature). Block verdicts are therefore keyed on the
+  // digest of the block bytes: a corrupted copy must neither reuse an honest
+  // copy's verdict to complete a quorum nor fix a false verdict for the
+  // honest copies that follow it.
+  const SigCacheGuard guard;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    crypto::SigCache::instance().clear();
+    CurbOptions opts = test_options();
+    opts.verify_signatures = true;
+    opts.controller_capacity = 8.0;
+    opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+    opts.fault_spec = "corrupt(p=0.3,cat=FINAL-AGREE)";
+    opts.fault_seed = seed;
+    CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+    (void)sim.run_packet_in_rounds(3);
+    std::size_t committed = 0;
+    std::size_t bad = 0;
+    for (std::uint32_t c = 0; c < sim.network().num_controllers(); ++c) {
+      const auto& chain = sim.network().controller(c).blockchain();
+      for (std::uint64_t h = 1; h <= chain.height(); ++h) {
+        for (const auto& tx : chain.at(h).transactions()) {
+          ++committed;
+          if (!tx.verify(sim.network().controller(tx.controller_id()).public_key())) ++bad;
+        }
+      }
+    }
+    EXPECT_GT(committed, 0u) << "fault seed " << seed;
+    EXPECT_EQ(bad, 0u) << "fault seed " << seed << ": " << bad << " of " << committed
+                       << " committed transactions fail signature verification";
+  }
+}
+
+TEST(CurbIntegration, AtMostThreeMerkleBuildsPerAppliedBlock) {
+  // A controller rebuilds a block's Merkle tree for each FINAL-AGREE it
+  // counts toward the f+1 quorum (2 with a 4-member committee) and once more
+  // in Blockchain::append; copies arriving after the block is applied are
+  // recognised from the header alone. The proposer also builds the tree
+  // once in Block::create.
+  CurbOptions opts = test_options();
+  opts.controller_capacity = 8.0;
+  opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+  CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+  prof::Profiler profiler;
+  {
+    const prof::Session session{profiler};
+    (void)sim.run_packet_in_rounds(3);
+  }
+  std::uint64_t heights = 0;
+  std::uint64_t proposed = 0;
+  for (std::uint32_t c = 0; c < sim.network().num_controllers(); ++c) {
+    heights += sim.network().controller(c).blockchain().height();
+    proposed += sim.network().controller(c).stats().blocks_proposed;
+  }
+  ASSERT_GT(heights, 0u);
+  EXPECT_LE(profiler.calls("crypto.merkle_build"), 3 * heights + proposed)
+      << "sum of chain heights " << heights << ", blocks proposed " << proposed;
 }
 
 }  // namespace
