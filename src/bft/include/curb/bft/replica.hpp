@@ -4,11 +4,11 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "curb/bft/consensus.hpp"
 #include "curb/bft/message.hpp"
+#include "curb/bft/vote_set.hpp"
 #include "curb/sim/simulator.hpp"
 #include "curb/sim/time.hpp"
 
@@ -73,8 +73,8 @@ class PbftReplica final : public ConsensusReplica {
   struct SlotState {
     std::optional<crypto::Hash256> digest;  // accepted pre-prepare digest
     std::vector<std::uint8_t> payload;
-    std::set<std::uint32_t> prepares;
-    std::set<std::uint32_t> commits;
+    VoteSet prepares;
+    VoteSet commits;
     bool prepared = false;
     bool committed = false;
     bool executed = false;

@@ -1,0 +1,28 @@
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+namespace curb::bft {
+
+/// The distinct voters of one quorum, kept in a flat vector. A quorum has at
+/// most a group's worth of members, so a linear scan beats a tree node per
+/// vote. Only the count is exposed, so nothing can depend on vote order.
+class VoteSet {
+ public:
+  /// Records `voter`'s vote; a replayed vote never counts twice.
+  void insert(std::uint32_t voter) {
+    if (std::find(voters_.begin(), voters_.end(), voter) == voters_.end()) {
+      voters_.push_back(voter);
+    }
+  }
+  [[nodiscard]] std::size_t size() const { return voters_.size(); }
+  void clear() { voters_.clear(); }
+
+ private:
+  std::vector<std::uint32_t> voters_;
+};
+
+}  // namespace curb::bft

@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <istream>
-#include <ostream>
-#include <map>
 #include <optional>
+#include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "curb/chain/block.hpp"
@@ -77,7 +77,9 @@ class Blockchain {
 
  private:
   std::vector<Block> blocks_;
-  std::map<crypto::Hash256, std::uint64_t> tx_index_;
+  /// Transaction id -> height. Looked up for every appended transaction and
+  /// never iterated, so it is hashed.
+  std::unordered_map<crypto::Hash256, std::uint64_t, crypto::DigestHash> tx_index_;
 
   // Observability (instrument handles cached by set_observatory).
   obs::Observatory* obs_ = nullptr;

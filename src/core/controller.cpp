@@ -189,7 +189,6 @@ void Controller::rebuild_replicas() {
     retire_final_replica();
     final_committee_cache_.clear();
     agree_votes_.clear();
-    agree_buffered_.clear();
     block_buffer_.clear();
     final_proposal_in_flight_ = false;
   } else if (committee_changed) {
@@ -304,7 +303,6 @@ void Controller::crash() {
   committed_requests_.clear();
   pending_requests_.clear();
   agree_votes_.clear();
-  agree_buffered_.clear();
   block_buffer_.clear();
   ever_committee_.clear();
   orphan_agrees_.clear();
@@ -827,12 +825,11 @@ void Controller::on_agree(const AgreeMsg& agree) {
       !verify_tx_list_payload(digest, agree.tx_list)) {
     return;
   }
-  const auto key = std::make_pair(agree.instance, digest);
-  auto& votes = agree_votes_[key];
-  votes.insert(agree.sender_controller);
+  AgreeTally& tally = agree_votes_[AgreeKey{agree.instance, digest}];
+  tally.votes.insert(agree.sender_controller);
   // f+1 matching AGREEs guarantee one honest group member vouches.
-  if (votes.size() < state_.f() + 1 || agree_buffered_.contains(key)) return;
-  agree_buffered_.insert(key);
+  if (tally.votes.size() < state_.f() + 1 || tally.buffered) return;
+  tally.buffered = true;
   if (obs::Observatory* obsy = network_.observatory(); obsy != nullptr) {
     obsy->tracer.end_keyed(stage_key(agree.instance, digest));
     obsy->metrics.counter("core.agree_quorums").inc();
@@ -869,7 +866,7 @@ void Controller::flush_block_buffer() {
   // Algorithm 3 line 19: serialize all buffered txLists into block B_h,
   // skipping transactions that already reached the chain.
   std::vector<chain::Transaction> txs;
-  std::set<crypto::Hash256> seen;
+  std::unordered_set<crypto::Hash256, crypto::DigestHash> seen;
   for (const auto& [instance, tx_list] : block_buffer_) {
     std::vector<chain::Transaction> list;
     try {
@@ -928,25 +925,39 @@ void Controller::on_final_agree(const FinalAgreeMsg& msg) {
   // An applied block is recognised from its header alone, before the body
   // is decoded and its Merkle tree rebuilt.
   crypto::Hash256 hash{};
-  chain::Block block;
   try {
     hash = chain::Block::deserialize_header(msg.block).hash();
-    if (applied_blocks_.contains(hash)) return;
-    block = chain::Block::deserialize(msg.block);
   } catch (const std::exception&) {
     return;  // malformed
   }
-  if (!block.well_formed()) return;
-  if (network_.options().verify_signatures &&
-      !verify_block_txs(bft::payload_digest(msg.block), block)) {
-    return;  // forged transaction inside the block: never vote for it
+  if (applied_blocks_.contains(hash)) return;
+  auto tally = final_agree_votes_.find(hash);
+  // Validation is a function of the bytes alone, so a copy byte-identical to
+  // one that passed is counted without decoding or checking it again. Any
+  // other copy (a corrupted one can share the header) is validated in full.
+  if (tally == final_agree_votes_.end() || tally->second.bytes != msg.block) {
+    chain::Block block;
+    try {
+      block = chain::Block::deserialize(msg.block);
+    } catch (const std::exception&) {
+      return;  // malformed
+    }
+    if (!block.well_formed()) return;
+    if (network_.options().verify_signatures &&
+        !verify_block_txs(bft::payload_digest(msg.block), block)) {
+      return;  // forged transaction inside the block: never vote for it
+    }
+    tally = final_agree_votes_.try_emplace(hash).first;
+    tally->second.bytes = msg.block;
+    tally->second.block = std::move(block);
   }
-  auto& votes = final_agree_votes_[hash];
-  votes.insert(msg.sender_controller);
+  tally->second.votes.insert(msg.sender_controller);
   // Algorithm 3 line 27: f+1 matching FINAL-AGREE confirm validity.
-  if (votes.size() < state_.f() + 1) return;
+  if (tally->second.votes.size() < state_.f() + 1) return;
   applied_blocks_.insert(hash);
-  final_agree_votes_.erase(hash);
+  // apply_block can re-enter on_final_agree, so the tally goes first.
+  const chain::Block block = std::move(tally->second.block);
+  final_agree_votes_.erase(tally);
   apply_block(block);
 }
 

@@ -6,9 +6,12 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "curb/bft/consensus.hpp"
+#include "curb/bft/vote_set.hpp"
 #include "curb/chain/blockchain.hpp"
 #include "curb/core/assignment_state.hpp"
 #include "curb/core/messages.hpp"
@@ -184,6 +187,11 @@ class Controller {
     std::uint64_t request_id;
     auto operator<=>(const RequestKey&) const = default;
   };
+  struct RequestKeyHash {
+    std::size_t operator()(const RequestKey& key) const noexcept {
+      return static_cast<std::size_t>(key.request_id * 0x9e3779b97f4a7c15ULL ^ key.switch_id);
+    }
+  };
   std::map<std::uint32_t, std::vector<chain::Transaction>> request_buffer_;
   std::map<std::uint32_t, sim::EventHandle> request_buffer_timer_;
   /// RE-ASS aggregation (one OP solve covers a burst of accusations).
@@ -193,14 +201,30 @@ class Controller {
   };
   std::map<std::uint32_t, ReassWindow> reass_window_;
   std::map<std::uint32_t, sim::EventHandle> reass_window_timer_;
-  std::set<RequestKey> handled_requests_;   // leader-side dedup (reqBuffer check)
-  std::set<RequestKey> committed_requests_; // served requests (on-chain)
+  // Containers that are only probed (never iterated) are hashed; those whose
+  // iteration order can reach the event queue stay ordered.
+  std::unordered_set<RequestKey, RequestKeyHash> handled_requests_;   // leader-side dedup
+  std::unordered_set<RequestKey, RequestKeyHash> committed_requests_; // served (on-chain)
   // Pending requests per group for watchdog / re-handling after view change.
   std::map<std::uint32_t, std::map<RequestKey, sdn::RequestMsg>> pending_requests_;
 
-  // Final-committee AGREE quorum tracking: (group, digest) -> senders.
-  std::map<std::pair<std::uint32_t, crypto::Hash256>, std::set<std::uint32_t>> agree_votes_;
-  std::set<std::pair<std::uint32_t, crypto::Hash256>> agree_buffered_;
+  // Final-committee AGREE quorum tracking: (instance, txList digest) ->
+  // senders, and whether the confirmed txList has been buffered.
+  struct AgreeKey {
+    std::uint32_t instance;
+    crypto::Hash256 digest;
+    bool operator==(const AgreeKey&) const = default;
+  };
+  struct AgreeKeyHash {
+    std::size_t operator()(const AgreeKey& key) const noexcept {
+      return crypto::DigestHash{}(key.digest) ^ key.instance;
+    }
+  };
+  struct AgreeTally {
+    bft::VoteSet votes;
+    bool buffered = false;
+  };
+  std::unordered_map<AgreeKey, AgreeTally, AgreeKeyHash> agree_votes_;
   /// Confirmed-but-not-yet-on-chain txLists, tagged with their instance so
   /// they can be re-AGREEd to a new committee after a membership change.
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> block_buffer_;
@@ -223,15 +247,23 @@ class Controller {
   /// every byte, signatures included, so a corrupted copy never shares a
   /// verdict with the pristine one. (A block hash would not do: it commits
   /// to transaction ids, and an id leaves out the signature.)
-  std::map<crypto::Hash256, bool> payload_verdicts_;
+  std::unordered_map<crypto::Hash256, bool, crypto::DigestHash> payload_verdicts_;
 
-  // FINAL-AGREE quorum tracking: block hash -> senders.
-  std::map<crypto::Hash256, std::set<std::uint32_t>> final_agree_votes_;
-  std::set<crypto::Hash256> applied_blocks_;
+  /// FINAL-AGREE quorum tracking per block hash: the senders, and the bytes
+  /// and decoded block of the last copy that passed validation. A copy equal
+  /// to those bytes is counted without being decoded or checked again.
+  struct FinalAgreeTally {
+    bft::VoteSet votes;
+    std::vector<std::uint8_t> bytes;
+    chain::Block block;
+  };
+  std::unordered_map<crypto::Hash256, FinalAgreeTally, crypto::DigestHash> final_agree_votes_;
+  std::unordered_set<crypto::Hash256, crypto::DigestHash> applied_blocks_;
   /// Non-parallel mode (paper Fig. 4(c)): a group must see its previous
   /// txList reach the chain before proposing the next one. Tracks the tx
   /// ids each instance has proposed that are not yet on-chain.
-  std::map<std::uint32_t, std::set<crypto::Hash256>> outstanding_tx_;
+  std::map<std::uint32_t, std::unordered_set<crypto::Hash256, crypto::DigestHash>>
+      outstanding_tx_;
 
   sdn::PolicyTable policy_table_;
   std::uint64_t next_policy_request_ = 1;

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -12,6 +13,18 @@ namespace curb::crypto {
 
 /// 32-byte digest value with hashing/ordering support so it can key maps.
 using Hash256 = std::array<std::uint8_t, 32>;
+
+/// Hasher for unordered containers keyed by a SHA-256 output. The first
+/// eight bytes of a digest are as uniform as a hash function gets, so they
+/// are the bucket hash with no further mixing. Only for keys that are
+/// digests: a structured 32-byte value would cluster.
+struct DigestHash {
+  std::size_t operator()(const Hash256& digest) const noexcept {
+    std::uint64_t h = 0;
+    std::memcpy(&h, digest.data(), sizeof(h));
+    return static_cast<std::size_t>(h);
+  }
+};
 
 namespace detail {
 

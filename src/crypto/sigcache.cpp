@@ -1,21 +1,10 @@
 #include "curb/crypto/sigcache.hpp"
 
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
 namespace curb::crypto {
 namespace {
-
-/// The key is already a SHA-256 output, so its first eight bytes are as
-/// uniform as a hash function gets — no further mixing needed.
-struct KeyHash {
-  std::size_t operator()(const Hash256& key) const noexcept {
-    std::uint64_t h = 0;
-    std::memcpy(&h, key.data(), sizeof(h));
-    return static_cast<std::size_t>(h);
-  }
-};
 
 [[nodiscard]] Hash256 cache_key(const PublicKey& pub, const Hash256& digest,
                                 const Signature& sig) {
@@ -34,7 +23,7 @@ constexpr std::size_t kDefaultCapacity = 1u << 20;
 
 struct SigCache::Impl {
   mutable std::mutex mu;
-  std::unordered_map<Hash256, bool, KeyHash> entries;
+  std::unordered_map<Hash256, bool, DigestHash> entries;  // keyed by cache_key()
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;

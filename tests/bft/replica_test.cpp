@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "curb/bft/group.hpp"
 #include "curb/sim/simulator.hpp"
 
@@ -377,6 +379,54 @@ TEST(PbftReplica, ReArmedSlotDoesNotFireStaleTimeout) {
         << "stale slot timeout triggered a spurious view change (view "
         << msg.view << ")";
   }
+}
+
+TEST(PbftReplica, DuplicateVotesDoNotFormAQuorum) {
+  // A replayed vote must never count twice: with the other followers silent,
+  // replica 1 holds only its own vote and the leader's, however often the
+  // leader's PREPARE and COMMIT arrive.
+  sim::Simulator sim;
+  std::vector<PbftMessage> sent;
+  std::size_t delivered = 0;
+  PbftReplica::Config cfg;
+  cfg.replica_index = 1;
+  cfg.group_size = 4;  // f = 1: prepared and committed need 3 distinct votes
+  PbftReplica r{cfg, sim,
+                [&sent](std::uint32_t, const PbftMessage& msg) { sent.push_back(msg); },
+                [&delivered](std::uint64_t, const std::vector<std::uint8_t>&) {
+                  ++delivered;
+                }};
+  const auto vote = [](PbftMessage::Type type, std::uint32_t sender) {
+    PbftMessage msg;
+    msg.type = type;
+    msg.view = 0;
+    msg.sequence = 1;
+    msg.digest = payload_digest(payload("x"));
+    msg.sender = sender;
+    return msg;
+  };
+  const auto commits_sent = [&sent] {
+    return std::count_if(sent.begin(), sent.end(), [](const PbftMessage& msg) {
+      return msg.type == PbftMessage::Type::kCommit;
+    });
+  };
+
+  PbftMessage pre_prepare = vote(PbftMessage::Type::kPrePrepare, 0);
+  pre_prepare.payload = payload("x");
+  r.on_message(pre_prepare);
+  for (int i = 0; i < 5; ++i) r.on_message(vote(PbftMessage::Type::kPrepare, 0));
+  for (int i = 0; i < 5; ++i) r.on_message(vote(PbftMessage::Type::kCommit, 0));
+  EXPECT_EQ(commits_sent(), 0) << "replayed PREPAREs prepared the slot";
+  EXPECT_EQ(delivered, 0u);
+
+  // A second follower's PREPARE is a real third vote; the replayed COMMITs
+  // still leave the commit quorum one distinct vote short.
+  r.on_message(vote(PbftMessage::Type::kPrepare, 2));
+  EXPECT_EQ(commits_sent(), 3);  // prepared: COMMIT to each of the 3 peers
+  for (int i = 0; i < 5; ++i) r.on_message(vote(PbftMessage::Type::kCommit, 0));
+  EXPECT_EQ(delivered, 0u) << "replayed COMMITs committed the slot";
+  r.on_message(vote(PbftMessage::Type::kCommit, 3));
+  EXPECT_EQ(delivered, 1u);
 }
 
 TEST(PbftMessage, WireSizeAccounting) {

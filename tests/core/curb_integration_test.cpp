@@ -726,12 +726,13 @@ TEST(CurbIntegration, CorruptFinalAgreeNeverCommitsBadSignatures) {
   }
 }
 
-TEST(CurbIntegration, AtMostThreeMerkleBuildsPerAppliedBlock) {
-  // A controller rebuilds a block's Merkle tree for each FINAL-AGREE it
-  // counts toward the f+1 quorum (2 with a 4-member committee) and once more
-  // in Blockchain::append; copies arriving after the block is applied are
-  // recognised from the header alone. The proposer also builds the tree
-  // once in Block::create.
+TEST(CurbIntegration, AtMostTwoMerkleBuildsPerAppliedBlock) {
+  // A controller rebuilds a block's Merkle tree once for the first
+  // FINAL-AGREE copy it validates and once more in Blockchain::append. The
+  // other copies toward the f+1 quorum are byte-identical to the validated
+  // one and are counted unchecked, and copies arriving after the block is
+  // applied are recognised from the header alone. The proposer also builds
+  // the tree once in Block::create.
   CurbOptions opts = test_options();
   opts.controller_capacity = 8.0;
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
@@ -748,8 +749,53 @@ TEST(CurbIntegration, AtMostThreeMerkleBuildsPerAppliedBlock) {
     proposed += sim.network().controller(c).stats().blocks_proposed;
   }
   ASSERT_GT(heights, 0u);
-  EXPECT_LE(profiler.calls("crypto.merkle_build"), 3 * heights + proposed)
+  EXPECT_LE(profiler.calls("crypto.merkle_build"), 2 * heights + proposed)
       << "sum of chain heights " << heights << ", blocks proposed " << proposed;
+}
+
+TEST(CurbIntegration, FinalAgreeReusesOnlyByteIdenticalCopies) {
+  // A FINAL-AGREE copy byte-identical to one that passed validation is
+  // counted without being checked again. A corrupted copy can carry the same
+  // header, and so the same block hash: it must be validated in full and
+  // rejected, never counted as a vote for the validated block.
+  CurbOptions opts = test_options();
+  opts.controller_capacity = 8.0;
+  opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+  CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+  CurbNetwork& network = sim.network();
+  const std::vector<std::uint32_t> committee = network.genesis_state().final_committee();
+  ASSERT_EQ(network.genesis_state().f(), 1u);  // quorum of f+1 = 2 copies
+  ASSERT_GE(committee.size(), 3u);
+  std::uint32_t outsider = 0;
+  while (std::find(committee.begin(), committee.end(), outsider) != committee.end()) {
+    ++outsider;
+  }
+  ASSERT_LT(outsider, network.num_controllers());
+  Controller& controller = network.controller(outsider);
+
+  const std::vector<std::uint8_t> config{0xc0, 0xff, 0xee, 0x42};
+  const chain::Transaction tx{chain::RequestType::kPacketIn, 0, committee[0], 1, config};
+  const chain::Block block = chain::Block::create(
+      1, controller.blockchain().genesis().hash(), {tx}, 0, committee[0]);
+  const std::vector<std::uint8_t> valid = block.serialize();
+  std::vector<std::uint8_t> corrupted = valid;
+  const auto at = std::search(corrupted.begin(), corrupted.end(), config.begin(), config.end());
+  ASSERT_NE(at, corrupted.end());
+  at[config.size() - 1] ^= 0x01;
+  ASSERT_EQ(chain::Block::deserialize_header(corrupted).hash(), block.hash());
+  ASSERT_FALSE(chain::Block::deserialize(corrupted).well_formed());
+
+  const auto deliver = [&](std::uint32_t sender, const std::vector<std::uint8_t>& bytes) {
+    controller.on_message(network.controller_topo_node(sender),
+                          CurbMessage{FinalAgreeMsg{sender, bytes}});
+  };
+  deliver(committee[0], valid);
+  EXPECT_EQ(controller.blockchain().height(), 0u) << "one valid copy is not a quorum";
+  deliver(committee[1], corrupted);
+  EXPECT_EQ(controller.blockchain().height(), 0u) << "a corrupted copy was counted";
+  deliver(committee[2], valid);
+  ASSERT_EQ(controller.blockchain().height(), 1u);
+  EXPECT_EQ(controller.blockchain().tip().transactions().front().config(), config);
 }
 
 }  // namespace
