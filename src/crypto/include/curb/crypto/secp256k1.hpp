@@ -16,8 +16,8 @@ namespace curb::crypto {
 /// Implemented from scratch to replace the paper's pure-Python ECDSA stack:
 /// curve-specific reductions mod p and mod n, Jacobian coordinates with
 /// mixed additions, a fixed-base comb for k*G, and one Strauss–Shamir pass
-/// for u1*G + u2*Q. Not constant-time: this is a protocol simulation, not a
-/// wallet.
+/// for u1*G + u2*Q with u2 split by the GLV endomorphism. Not constant-time:
+/// this is a protocol simulation, not a wallet.
 namespace secp256k1 {
 
 /// Field prime p.
@@ -35,10 +35,16 @@ struct AffinePoint {
 [[nodiscard]] const AffinePoint& generator();
 
 // --- Field arithmetic mod p (fast pseudo-Mersenne reduction) ---
+// Any 256-bit inputs; results canonical (below p). Each is a thin wrapper over
+// the library's inline field core, which works on five 52-bit limbs with
+// lazy reduction; the point formulas call that core directly.
 [[nodiscard]] U256 fe_add(const U256& a, const U256& b);
 [[nodiscard]] U256 fe_sub(const U256& a, const U256& b);
 [[nodiscard]] U256 fe_mul(const U256& a, const U256& b);
+/// a² mod p with a dedicated squaring: 15 limb products where fe_mul
+/// needs 25.
 [[nodiscard]] U256 fe_sqr(const U256& a);
+/// a^(p-2) mod p by an addition chain; throws std::domain_error if a ≡ 0.
 [[nodiscard]] U256 fe_inv(const U256& a);
 
 // --- Scalar arithmetic mod n (folding with 2^256 - n, a 129-bit constant) ---
@@ -78,8 +84,11 @@ struct JacobianPoint {
 /// k*G from a fixed-base comb table (8 teeth, 255 affine points, built once
 /// per process): 31 doublings and at most 32 mixed additions.
 [[nodiscard]] JacobianPoint scalar_mul_base(const U256& k);
-/// u1*G + u2*Q in one Strauss–Shamir pass: shared doublings, u2 in width-5
-/// wNAF over Q's odd multiples built per call, u1 through the comb table.
+/// u1*G + u2*Q in one Strauss–Shamir pass. u2 is reduced mod n and split
+/// with the GLV endomorphism as k1 + k2·λ (λ·(x, y) = (β·x, y)), both halves
+/// below 2^128; each half runs in width-5 wNAF, over Q's odd multiples built
+/// per call and over the same points with x multiplied by β. u1 goes through
+/// the comb table in the last 32 steps. About 129 shared doublings.
 [[nodiscard]] JacobianPoint double_scalar_mul(const U256& u1, const U256& u2,
                                               const AffinePoint& q);
 

@@ -102,6 +102,46 @@ TEST(Secp256k1, FieldMulAgainstGenericModMul) {
   EXPECT_EQ(ec::fe_mul(a, b), U256::mul_mod(a, b, ec::field_prime()));
 }
 
+TEST(Secp256k1, FieldOpsMatchBitSerial) {
+  // Field elements that stress the reductions: 0, 1, 2, p-1, p-2, p - c and
+  // c (c = 2^32 + 977 = 2^256 - p), 2^255, values whose 64-bit or 52-bit
+  // limbs are all ones, and random elements below p.
+  const U256& p = ec::field_prime();
+  const auto p_minus = [&](const U256& k) {
+    U256 out;
+    U256::sub_with_borrow(p, k, out);
+    return out;
+  };
+  const U256 c{(1ULL << 32) + 977};
+  const std::uint64_t ones52 = (1ULL << 52) - 1;
+  std::vector<U256> values{U256{},
+                           U256{1},
+                           U256{2},
+                           p_minus(U256{1}),
+                           p_minus(U256{2}),
+                           p_minus(c),
+                           U256{0, 0, 0, 1ULL << 63},
+                           c,
+                           U256{~0ULL, 0, 0, 0},
+                           U256{~0ULL, ~0ULL, 0, 0},
+                           U256{~0ULL, ~0ULL, ~0ULL, 0},
+                           U256{0, ~0ULL, ~0ULL, ~0ULL},
+                           U256{ones52, 0, 0, 0},
+                           U256{~0ULL, ~0ULL, ~0ULL, (1ULL << 48) - 1},
+                           U256{~0ULL, ~0ULL, ~0ULL, ~0ULL >> 1}};
+  std::mt19937_64 rng{20260514};
+  for (int i = 0; i < 16; ++i) values.push_back(U256::reduce(random_u256(rng), p));
+  for (const U256& a : values) {
+    ASSERT_LT(a, p) << a.to_hex();
+    ASSERT_EQ(ec::fe_sqr(a), U256::mul_mod(a, a, p)) << a.to_hex();
+    for (const U256& b : values) {
+      ASSERT_EQ(ec::fe_mul(a, b), U256::mul_mod(a, b, p)) << a.to_hex() << " * " << b.to_hex();
+      ASSERT_EQ(ec::fe_add(a, b), U256::add_mod(a, b, p)) << a.to_hex() << " + " << b.to_hex();
+      ASSERT_EQ(ec::fe_sub(a, b), U256::sub_mod(a, b, p)) << a.to_hex() << " - " << b.to_hex();
+    }
+  }
+}
+
 TEST(Secp256k1, FieldInverseMatchesBitSerial) {
   for (const U256& a : {U256{1}, U256{2}, U256{0xdeadbeefcafebabeULL, 7, 0, 1ULL << 63},
                         U256{~0ULL - 0x3d1, ~0ULL, ~0ULL, ~0ULL}}) {
@@ -217,6 +257,59 @@ TEST(Secp256k1, JointPassHitsEqualAndInversePoints) {
   EXPECT_EQ(ec::point_add_mixed(ec::JacobianPoint::infinity(), g).to_affine(), g);
 }
 
+// The GLV endomorphism λ·(x, y) = (β·x, y), kept here as literals so the
+// header exports neither constant.
+const U256 kLambda =
+    U256::from_hex("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72");
+const U256 kBeta =
+    U256::from_hex("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee");
+
+TEST(Glv, EndomorphismConstants) {
+  // The split in double_scalar_mul relies on both constants being cube
+  // roots of unity and on λ acting as β on x.
+  EXPECT_EQ(ec::sc_mul(ec::sc_mul(kLambda, kLambda), kLambda), U256{1});
+  EXPECT_EQ(ec::fe_mul(ec::fe_mul(kBeta, kBeta), kBeta), U256{1});
+  const ec::AffinePoint& g = ec::generator();
+  EXPECT_EQ(reference_mul(kLambda, g), (ec::AffinePoint{ec::fe_mul(kBeta, g.x), g.y, false}));
+}
+
+TEST(Glv, JointPassMatchesReferenceAcrossSplits) {
+  // u2 is split as k1 + k2·λ (mod n); the boundaries are where a half
+  // changes sign or reaches 2^128. u1 goes through the comb, which
+  // CombMatchesReference checks on its own.
+  const U256& n = ec::group_order();
+  const U256 half_n = n >> 1;  // (n - 1) / 2
+  U256 n_minus_lambda;
+  U256::sub_with_borrow(n, kLambda, n_minus_lambda);
+  U256 n_minus_2_128;
+  U256::sub_with_borrow(n, U256{0, 0, 1, 0}, n_minus_2_128);
+  std::vector<U256> u2s{kLambda,
+                        n_minus_lambda,
+                        half_n,
+                        U256::add_mod(half_n, U256{1}, n),
+                        U256{0, 0, 1, 0},
+                        U256{~0ULL, ~0ULL, 1, 0},
+                        n_minus_2_128,
+                        n,
+                        U256{~0ULL, ~0ULL, ~0ULL, ~0ULL}};
+  std::mt19937_64 rng{1282};
+  for (int i = 0; i < 200; ++i) u2s.push_back(random_u256(rng));
+
+  const ec::AffinePoint& g = ec::generator();
+  const std::vector<ec::AffinePoint> points{g, reference_mul(n_minus(1), g),
+                                            reference_mul(random_u256(rng), g)};
+  for (const ec::AffinePoint& q : points) {
+    const ec::JacobianPoint q_jac = ec::JacobianPoint::from_affine(q);
+    for (const U256& u2 : u2s) {
+      const U256 u1 = random_u256(rng);
+      const ec::JacobianPoint expected =
+          ec::point_add(ec::scalar_mul_base(u1), ec::scalar_mul(u2, q_jac));
+      ASSERT_EQ(ec::double_scalar_mul(u1, u2, q).to_affine(), expected.to_affine())
+          << u1.to_hex() << " " << u2.to_hex() << " " << q.x.to_hex();
+    }
+  }
+}
+
 TEST(PublicKey, DecompressionMatchesBitSerialSqrt) {
   U256 exp;
   U256::add_with_carry(ec::field_prime(), U256{1}, exp);
@@ -318,6 +411,32 @@ TEST(Ecdsa, VerifyRejectsSumAtInfinity) {
   bool verdict = true;
   EXPECT_NO_THROW(verdict = verify(kp.public_key(), digest, sig));
   EXPECT_FALSE(verdict);
+}
+
+TEST(Ecdsa, AcceptsWhenXOfRExceedsOrder) {
+  // x(R) = n + 2 is below p and on the curve, so a signature with r = 2
+  // matches R only through verify's (r + n)·Z² == X comparison. With s = 1,
+  // u1·G + u2·Q = z·G + r·Q, and Q = r⁻¹·(R - z·G) makes that sum R.
+  const U256& n = ec::group_order();
+  U256 x;
+  U256::add_with_carry(n, U256{2}, x);
+  std::array<std::uint8_t, 33> bytes{};
+  bytes[0] = 0x02;
+  const auto xb = x.to_bytes();
+  std::copy(xb.begin(), xb.end(), bytes.begin() + 1);
+  const auto r_point = PublicKey::from_bytes(std::span<const std::uint8_t, 33>{bytes});
+  ASSERT_TRUE(r_point.has_value());
+
+  const Hash256 digest = Sha256::digest("x(R) above the group order");
+  const U256 z = U256::reduce(U256::from_hash(digest), n);
+  const ec::JacobianPoint minus_zg = ec::scalar_mul(
+      U256::sub_mod(U256{}, z, n), ec::JacobianPoint::from_affine(ec::generator()));
+  const ec::JacobianPoint r_minus_zg =
+      ec::point_add(ec::JacobianPoint::from_affine(r_point->point), minus_zg);
+  const PublicKey q{ec::scalar_mul(ec::sc_inv(U256{2}), r_minus_zg).to_affine()};
+
+  EXPECT_TRUE(verify(q, digest, Signature{U256{2}, U256{1}}));
+  EXPECT_FALSE(verify(q, digest, Signature{U256{3}, U256{1}}));
 }
 
 TEST(Ecdsa, RoundTripWithGeneratorAndItsNegation) {
