@@ -5,20 +5,12 @@
 
 #include "curb/core/codec.hpp"
 #include "curb/core/network.hpp"
-#include "curb/sim/log.hpp"
 
 namespace curb::core {
 
 using namespace curb::sim::literals;
 
 namespace {
-/// Trace hook: enable with Logger::instance().set_sink(stderr_sink()) and
-/// level kDebug to watch the protocol run.
-void trace(sim::Simulator& sim, std::uint32_t id, const std::string& msg) {
-  sim::Logger::instance().log(sim::LogLevel::kDebug, sim.now(),
-                              "ctl-" + std::to_string(id), msg);
-}
-
 /// Keyed-span key for a cross-controller protocol stage: fold the first
 /// bytes of the content digest with the instance id. The same (instance,
 /// payload) yields the same key on every controller, which is what lets the
@@ -106,15 +98,10 @@ void Controller::rebuild_replicas() {
       request_buffer_.erase(instance);
       pending_requests_.erase(instance);
       reass_window_.erase(instance);
-      const auto t1 = request_buffer_timer_.find(instance);
-      if (t1 != request_buffer_timer_.end()) {
-        network_.simulator().cancel(t1->second);
-        request_buffer_timer_.erase(t1);
-      }
-      const auto t2 = reass_window_timer_.find(instance);
-      if (t2 != reass_window_timer_.end()) {
-        network_.simulator().cancel(t2->second);
-        reass_window_timer_.erase(t2);
+      const auto timer = reass_window_timer_.find(instance);
+      if (timer != reass_window_timer_.end()) {
+        network_.simulator().cancel(timer->second);
+        reass_window_timer_.erase(timer);
       }
     });
   }
@@ -277,19 +264,12 @@ void Controller::set_replica_behavior(bft::Behavior behavior) {
 void Controller::crash() {
   if (crashed_) return;
   crashed_ = true;
-  trace(network_.simulator(), id_, "CRASH");
   // Drop every piece of volatile state. Timers already in the simulator
   // queue fire against the cleared maps and no-op; the explicit handles we
   // hold are cancelled so they cannot re-arm anything.
   auto& sim = network_.simulator();
-  for (auto& [instance, handle] : request_buffer_timer_) sim.cancel(handle);
-  request_buffer_timer_.clear();
   for (auto& [instance, handle] : reass_window_timer_) sim.cancel(handle);
   reass_window_timer_.clear();
-  if (block_buffer_timer_armed_) {
-    sim.cancel(block_buffer_timer_);
-    block_buffer_timer_armed_ = false;
-  }
   replicas_.clear();
   retired_replicas_.clear();
   final_replica_.reset();
@@ -320,8 +300,6 @@ void Controller::crash() {
 void Controller::restart_from(const chain::Blockchain& donor) {
   if (!crashed_) return;
   crashed_ = false;
-  trace(network_.simulator(), id_,
-        "RESTART from donor chain height=" + std::to_string(donor.height()));
   // Cold start from the replicated ledger (the paper's trust anchor): the
   // genesis block carries the Step-0 assignment, every later block carries
   // the committed requests and reassignments. Replaying them rebuilds the
@@ -630,23 +608,8 @@ void Controller::buffer_transaction(std::uint32_t instance, const sdn::RequestMs
                         std::move(config)};
   if (network_.options().verify_signatures) tx.sign(key_);
   ++stats_.tx_created;
-  auto& buffer = request_buffer_[instance];
-  buffer.push_back(std::move(tx));
-  const auto& options = network_.options();
-  if (buffer.size() >= options.request_batch_size) {
-    const auto timer = request_buffer_timer_.find(instance);
-    if (timer != request_buffer_timer_.end()) {
-      network_.simulator().cancel(timer->second);
-      request_buffer_timer_.erase(timer);
-    }
-    flush_request_buffer(instance);
-  } else if (!request_buffer_timer_.contains(instance)) {
-    request_buffer_timer_[instance] = network_.simulator().schedule(
-        options.request_batch_timeout, [this, instance] {
-          request_buffer_timer_.erase(instance);
-          flush_request_buffer(instance);
-        });
-  }
+  request_buffer_[instance].push_back(std::move(tx));
+  flush_request_buffer(instance);
 }
 
 void Controller::handle_reassign_request(std::uint32_t instance,
@@ -764,9 +727,6 @@ void Controller::flush_request_buffer(std::uint32_t instance) {
   for (const auto& tx : txs) outstanding_tx_[instance].insert(tx.id());
   auto payload = serialize_tx_list(txs);
   ++stats_.tx_lists_proposed;
-  trace(network_.simulator(), id_,
-        "propose txList instance=" + std::to_string(instance) +
-            " txs=" + std::to_string(txs.size()));
   replica->propose(std::move(payload));
 }
 
@@ -834,29 +794,12 @@ void Controller::on_agree(const AgreeMsg& agree) {
     obsy->tracer.end_keyed(stage_key(agree.instance, digest));
     obsy->metrics.counter("core.agree_quorums").inc();
   }
-  trace(network_.simulator(), id_,
-        "AGREE quorum instance=" + std::to_string(agree.instance));
 
   // EVERY committee member buffers the confirmed txList; only the leader
   // drains the buffer into block proposals. If leadership moves (committee
   // change after a reassignment), the new leader still holds the backlog.
   block_buffer_.push_back({agree.instance, agree.tx_list});
-  if (final_replica_ == nullptr || !final_replica_->is_leader()) return;
-  const auto& options = network_.options();
-  if (block_buffer_.size() >= options.block_batch_size) {
-    if (block_buffer_timer_armed_) {
-      network_.simulator().cancel(block_buffer_timer_);
-      block_buffer_timer_armed_ = false;
-    }
-    flush_block_buffer();
-  } else if (!block_buffer_timer_armed_) {
-    block_buffer_timer_armed_ = true;
-    block_buffer_timer_ = network_.simulator().schedule(
-        options.block_batch_timeout, [this] {
-          block_buffer_timer_armed_ = false;
-          flush_block_buffer();
-        });
-  }
+  flush_block_buffer();
 }
 
 void Controller::flush_block_buffer() {
@@ -901,9 +844,6 @@ void Controller::flush_block_buffer() {
          {"txns", txns_attr(block.transactions())}});
   }
   ++stats_.blocks_proposed;
-  trace(network_.simulator(), id_,
-        "propose block h=" + std::to_string(block.header().height) +
-            " txs=" + std::to_string(block.transactions().size()));
   final_proposal_in_flight_ = true;
   final_replica_->propose(std::move(block_bytes));
 }
@@ -967,9 +907,6 @@ void Controller::apply_block(const chain::Block& block) {
     obsy->tracer.end_keyed(stage_key(PbftEnvelope::kFinalInstance, block.hash()));
   }
   ++stats_.blocks_committed;
-  trace(network_.simulator(), id_,
-        "apply block h=" + std::to_string(block.header().height) +
-            " buffered=" + std::to_string(block_buffer_.size()));
   // Clear per-group outstanding transactions and resume groups gated by
   // non-parallel mode.
   for (const chain::Transaction& tx : block.transactions()) {
@@ -1103,10 +1040,6 @@ void Controller::apply_reassignment(const chain::Transaction& tx, std::uint64_t 
                          {{"epoch", std::to_string(next.epoch())}});
     network_.record_assignment_metrics(state_);
   }
-  trace(network_.simulator(), id_,
-        "adopt epoch " + std::to_string(next.epoch()) + " groups=" +
-            std::to_string(next.groups().size()) + " finalLeader=" +
-            std::to_string(next.final_leader()));
   rebuild_replicas();
 
   // Re-route pending (uncommitted) requests to the new group structure: a

@@ -193,7 +193,6 @@ class Controller {
     }
   };
   std::map<std::uint32_t, std::vector<chain::Transaction>> request_buffer_;
-  std::map<std::uint32_t, sim::EventHandle> request_buffer_timer_;
   /// RE-ASS aggregation (one OP solve covers a burst of accusations).
   struct ReassWindow {
     std::vector<std::uint32_t> accused;
@@ -235,8 +234,6 @@ class Controller {
   /// AGREEs for instances this node has not adopted yet (it may simply be
   /// behind on block application); replayed after each epoch adoption.
   std::vector<std::pair<sim::SimTime, AgreeMsg>> orphan_agrees_;
-  sim::EventHandle block_buffer_timer_;
-  bool block_buffer_timer_armed_ = false;
   /// Final leader: a proposed block not yet on the chain. Proposals are
   /// serialized — two in-flight blocks would claim the same height and the
   /// loser's transactions would be dropped by every replica.

@@ -41,15 +41,6 @@ struct CurbOptions {
   /// stops responding; 1 = report on first miss).
   std::size_t max_silent_rounds = 1;
 
-  /// Leader request buffer: pack a txList after this many requests...
-  std::size_t request_batch_size = 1;
-  /// ...or after this timeout since the first buffered request.
-  sim::SimTime request_batch_timeout = sim::SimTime::millis(50);
-  /// Final leader block buffer: seal a block after this many txLists...
-  std::size_t block_batch_size = 1;
-  /// ...or after this timeout since the first buffered txList.
-  sim::SimTime block_batch_timeout = sim::SimTime::millis(50);
-
   /// PBFT view-change timeout for both consensus layers.
   sim::SimTime pbft_timeout = sim::SimTime::millis(500);
   /// BFT engine for Intra- and Final-consensus. The paper uses PBFT and

@@ -3,14 +3,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "curb/net/link_model.hpp"
-#include "curb/net/shared_payload.hpp"
 #include "curb/net/topology.hpp"
 #include "curb/obs/observatory.hpp"
 #include "curb/prof/profiler.hpp"
@@ -60,8 +59,8 @@ class MessageStats {
 
   /// Register one scheduled delivery headed for node `to`. The returned
   /// Entry* stays valid for the life of the stats object (map nodes are
-  /// stable and reset() zeroes in place), so the delivery callback can
-  /// balance with end_flight without a map lookup.
+  /// stable), so the delivery callback can balance with end_flight without
+  /// a map lookup.
   Entry* begin_flight(const std::string& category, std::size_t bytes,
                       std::size_t to) {
     auto& entry = by_category_[category];
@@ -73,14 +72,12 @@ class MessageStats {
     return &entry;
   }
 
-  /// Balance a begin_flight at delivery time. Clamped at zero so a reset()
-  /// with deliveries still in flight cannot wrap the gauges negative.
+  /// Balance a begin_flight at delivery time.
   void end_flight(Entry* entry, std::size_t bytes, std::size_t to) {
-    if (entry->in_flight_count > 0) --entry->in_flight_count;
-    entry->in_flight_bytes -=
-        bytes < entry->in_flight_bytes ? bytes : entry->in_flight_bytes;
-    if (to < pending_inbox_.size() && pending_inbox_[to] > 0) --pending_inbox_[to];
-    if (in_flight_total_ > 0) --in_flight_total_;
+    --entry->in_flight_count;
+    entry->in_flight_bytes -= bytes;
+    --pending_inbox_[to];
+    --in_flight_total_;
   }
 
   [[nodiscard]] std::uint64_t total_messages() const { return total_count_; }
@@ -119,16 +116,6 @@ class MessageStats {
   [[nodiscard]] const std::map<std::string, Entry>& categories() const {
     return by_category_;
   }
-  /// Zero every counter *in place* — category entries are kept (not erased)
-  /// so Entry pointers handed out by begin_flight stay valid across a reset.
-  void reset() {
-    for (auto& [category, entry] : by_category_) entry = Entry{};
-    for (auto& depth : pending_inbox_) depth = 0;
-    total_count_ = 0;
-    total_bytes_ = 0;
-    in_flight_total_ = 0;
-  }
-
  private:
   std::map<std::string, Entry> by_category_;
   std::vector<std::uint64_t> pending_inbox_;  // by destination node index
@@ -142,10 +129,11 @@ class MessageStats {
 /// distance between the endpoints. Payloads are caller-defined; the bus is
 /// agnostic and only needs a byte size for the transmission-delay term.
 ///
-/// Fault hooks:
-///  - a drop filter can silently discard messages (silent-byzantine links),
-///  - per-node extra delay models "lazy" nodes that respond slowly
-///    (paper's experiment 3).
+/// Hooks:
+///  - a fault hook (curb::fault) may drop, delay, duplicate or corrupt each
+///    routed message; it models silent-byzantine links and the "lazy" nodes
+///    of the paper's experiment 3,
+///  - a send observer sees every accounted send (link telemetry).
 template <typename Payload>
 class MessageBus {
  public:
@@ -156,8 +144,7 @@ class MessageBus {
   /// counts sum exactly to the bus totals (conservation invariant).
   /// `duplicates` counts extra fault-injected wire deliveries of this
   /// message (MessageStats never re-records those); `dropped` marks sends
-  /// that were accounted but never scheduled (partition / interceptor /
-  /// fault drop).
+  /// that were accounted but never scheduled (partition or fault drop).
   struct SendRecord {
     NodeId from;
     NodeId to;
@@ -167,12 +154,9 @@ class MessageBus {
   };
   using SendObserver =
       std::function<void(const SendRecord&, const Payload&, const std::string& category)>;
-  /// Returns std::nullopt to drop, or an extra delay to add.
-  using Interceptor =
-      std::function<std::optional<sim::SimTime>(NodeId from, NodeId to, const Payload&)>;
   /// Fault-injection hook (curb::fault): decides drop / extra delay /
   /// duplication and may request payload corruption via the returned
-  /// closure. Runs after the interceptor, on every message that survived it.
+  /// closure. Runs on every message that has a route to its destination.
   using FaultHook = std::function<BusFaultAction<Payload>(
       NodeId from, NodeId to, const Payload& payload, const std::string& category)>;
 
@@ -186,8 +170,6 @@ class MessageBus {
     if (handlers_.size() < topo_.node_count()) handlers_.resize(topo_.node_count());
     handlers_[node.value] = std::move(handler);
   }
-
-  void set_interceptor(Interceptor interceptor) { interceptor_ = std::move(interceptor); }
 
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
@@ -212,14 +194,15 @@ class MessageBus {
   /// duplicates) hold refcounted handles, never copies.
   void send(NodeId from, NodeId to, Payload payload, std::size_t bytes,
             const std::string& category) {
-    send_shared(from, to, PayloadRef<Payload>{std::move(payload)}, bytes, category);
+    send_shared(from, to, std::make_shared<const Payload>(std::move(payload)), bytes,
+                category);
   }
 
   /// Broadcast to a recipient list (skipping `from` itself). The payload is
   /// buffered once and shared across every destination's delivery.
   void multicast(NodeId from, const std::vector<NodeId>& to, Payload payload,
                  std::size_t bytes, const std::string& category) {
-    PayloadRef<Payload> shared{std::move(payload)};
+    const auto shared = std::make_shared<const Payload>(std::move(payload));
     for (const NodeId dest : to) {
       if (dest == from) continue;
       send_shared(from, dest, shared, bytes, category);
@@ -227,7 +210,6 @@ class MessageBus {
   }
 
   [[nodiscard]] const MessageStats& stats() const { return stats_; }
-  [[nodiscard]] MessageStats& stats() { return stats_; }
   [[nodiscard]] const Topology& topology() const { return topo_; }
   [[nodiscard]] const LinkModel& link_model() const { return model_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
@@ -237,12 +219,11 @@ class MessageBus {
     obs::Counter* messages = nullptr;
     obs::Counter* bytes = nullptr;
     obs::Counter* dropped_partition = nullptr;
-    obs::Counter* dropped_interceptor = nullptr;
     obs::Counter* dropped_fault = nullptr;
     obs::Histogram* delay_us = nullptr;
   };
 
-  void send_shared(NodeId from, NodeId to, PayloadRef<Payload> payload,
+  void send_shared(NodeId from, NodeId to, std::shared_ptr<const Payload> payload,
                    std::size_t bytes, const std::string& category) {
     const prof::Scope scope{"bus.send"};
     stats_.record(category, bytes);
@@ -251,42 +232,37 @@ class MessageBus {
       const double km = topo_.distance_km(from, to);
       if (km == Topology::kUnreachable) {
         if (obs_ != nullptr) instruments(category).dropped_partition->inc();
-        observe(from, to, bytes, 0, true, payload, category);
+        observe(from, to, bytes, 0, true, *payload, category);
         return;  // partitioned: message lost
       }
       delay += model_.propagation_delay(km);
     }
-    if (interceptor_) {
-      const auto extra = interceptor_(from, to, payload.get());
-      if (!extra) {
-        if (obs_ != nullptr) instruments(category).dropped_interceptor->inc();
-        observe(from, to, bytes, 0, true, payload, category);
-        return;  // dropped
-      }
-      delay += *extra;
-    }
     std::size_t duplicates = 0;
     if (fault_hook_) {
-      BusFaultAction<Payload> action = fault_hook_(from, to, payload.get(), category);
+      BusFaultAction<Payload> action = fault_hook_(from, to, *payload, category);
       if (action.drop) {
         if (obs_ != nullptr) instruments(category).dropped_fault->inc();
-        observe(from, to, bytes, 0, true, payload, category);
+        observe(from, to, bytes, 0, true, *payload, category);
         return;  // dropped by fault injection
       }
       delay += action.extra_delay;
       // Copy-on-write: corruption rebinds this handle to a mutated clone,
       // so a multicast's other destinations keep the pristine bytes.
-      if (action.corrupt) payload.mutate(action.corrupt);
+      if (action.corrupt) {
+        auto clone = std::make_shared<Payload>(*payload);
+        action.corrupt(*clone);
+        payload = std::move(clone);
+      }
       duplicates = action.duplicates.size();
       for (const sim::SimTime offset : action.duplicates) {
         MessageStats::Entry* flight = stats_.begin_flight(category, bytes, to.value);
         sim_.schedule(delay + offset, [this, from, to, payload, flight, bytes] {
           stats_.end_flight(flight, bytes, to.value);
-          deliver(from, to, payload.get());
+          deliver(from, to, *payload);
         });
       }
     }
-    observe(from, to, bytes, duplicates, false, payload, category);
+    observe(from, to, bytes, duplicates, false, *payload, category);
     if (obs_ != nullptr) {
       const CategoryInstruments& series = instruments(category);
       series.messages->inc();
@@ -296,16 +272,14 @@ class MessageBus {
     MessageStats::Entry* flight = stats_.begin_flight(category, bytes, to.value);
     sim_.schedule(delay, [this, from, to, payload = std::move(payload), flight, bytes] {
       stats_.end_flight(flight, bytes, to.value);
-      deliver(from, to, payload.get());
+      deliver(from, to, *payload);
     });
   }
 
   void observe(NodeId from, NodeId to, std::size_t bytes, std::size_t duplicates,
-               bool dropped, const PayloadRef<Payload>& payload,
-               const std::string& category) {
+               bool dropped, const Payload& payload, const std::string& category) {
     if (!send_observer_) return;
-    send_observer_(SendRecord{from, to, bytes, duplicates, dropped}, payload.get(),
-                   category);
+    send_observer_(SendRecord{from, to, bytes, duplicates, dropped}, payload, category);
   }
 
   void deliver(NodeId from, NodeId to, const Payload& payload) {
@@ -323,8 +297,6 @@ class MessageBus {
     series.bytes = &registry.counter("net.bytes", {{"category", category}});
     series.dropped_partition = &registry.counter(
         "net.dropped", {{"category", category}, {"reason", "partition"}});
-    series.dropped_interceptor = &registry.counter(
-        "net.dropped", {{"category", category}, {"reason", "interceptor"}});
     series.dropped_fault = &registry.counter(
         "net.dropped", {{"category", category}, {"reason", "fault"}});
     series.delay_us = &registry.histogram("net.delay_us", {{"category", category}});
@@ -335,7 +307,6 @@ class MessageBus {
   const Topology& topo_;
   LinkModel model_;
   std::vector<Handler> handlers_;
-  Interceptor interceptor_;
   FaultHook fault_hook_;
   SendObserver send_observer_;
   MessageStats stats_;

@@ -8,7 +8,7 @@
 // the committee disseminates the block to all N controllers (cN) while the
 // serving groups reply to their switches (cN in the worst case). This module
 // turns that asymptotic statement into an exact per-round analytic bound for
-// this implementation's message flow (batch size 1, clean run):
+// this implementation's message flow (clean run):
 //
 //   PKT-IN      R·g            the switch asks every member of its group
 //   intra-pbft  R·2g(g−1)      pre-prepare (g−1) + prepare (g−1)² + commit
@@ -30,8 +30,9 @@
 // stays sound while remaining O(N): g is capped by the capacity constraint,
 // independent of N. HotStuff decisions cost 7(g−1) ≤ 2g(g−1) messages
 // (proposal + three linear vote phases + three QC broadcasts), so the
-// PBFT-shaped bound covers both engines. Request/block batching only lowers
-// the decision counts, so the bound stays an upper bound for any batch size.
+// PBFT-shaped bound covers both engines. A txList that carries several
+// buffered requests (non-parallel mode defers a group's flush) only lowers
+// the decision count, so the bound stays an upper bound.
 //
 // The auditor side consumes `round_complexity` instant spans (emitted by
 // CurbSimulation per round, attrs documented in DESIGN.md §16), recomputes

@@ -4,9 +4,9 @@
 //
 // LinkStats mirrors net::MessageStats at (src, dst) granularity: every send
 // the bus accounts globally is also attributed to its directed link, by
-// message category, including sends that are later dropped (partition,
-// interceptor, fault) — so the per-link counters always sum exactly to the
-// bus totals (the conservation invariant pinned in tests). Fault-injected
+// message category, including sends that are later dropped (partition or
+// fault) — so the per-link counters always sum exactly to the bus totals
+// (the conservation invariant pinned in tests). Fault-injected
 // duplicate deliveries are *wire* copies the bus never re-records; they are
 // tracked separately per link and per category so
 //   wire messages = msgs + dups
@@ -79,10 +79,6 @@ class LinkStats {
   [[nodiscard]] std::uint64_t total_drops() const { return total_drops_; }
   /// Duplicate wire copies recorded for one category.
   [[nodiscard]] std::uint64_t category_dups(const std::string& category) const;
-
-  /// Zero every counter in place (links and categories are kept, mirroring
-  /// MessageStats::reset()).
-  void reset();
 
  private:
   std::map<LinkKey, LinkEntry> links_;

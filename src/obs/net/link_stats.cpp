@@ -27,17 +27,4 @@ std::uint64_t LinkStats::category_dups(const std::string& category) const {
   return it == categories_.end() ? 0 : it->second.dups;
 }
 
-void LinkStats::reset() {
-  for (auto& [key, link] : links_) {
-    const auto categories = link.by_category;  // keep the key set
-    link = LinkEntry{};
-    for (const auto& [category, count] : categories) link.by_category[category] = 0;
-  }
-  for (auto& [category, totals] : categories_) totals = CategoryTotals{};
-  total_msgs_ = 0;
-  total_bytes_ = 0;
-  total_dups_ = 0;
-  total_drops_ = 0;
-}
-
 }  // namespace curb::obs::net

@@ -16,69 +16,14 @@ namespace detail {
 /// capture is 56 bytes).
 inline constexpr std::size_t kEventInlineSize = 64;
 
-/// Callables too big for inline storage but at or under this size draw
-/// fixed-size blocks from a freelist pool instead of the general heap.
-inline constexpr std::size_t kEventBlockSize = 256;
-
-/// Freelist of fixed kEventBlockSize blocks. Blocks are recycled rather than
-/// returned to the heap while the thread lives; the destructor drains the
-/// list so sanitizer runs end clean. Single-threaded by construction
-/// (thread_local), so no locking.
-class EventBlockPool {
- public:
-  EventBlockPool() = default;
-  EventBlockPool(const EventBlockPool&) = delete;
-  EventBlockPool& operator=(const EventBlockPool&) = delete;
-
-  ~EventBlockPool() {
-    while (head_ != nullptr) {
-      Node* next = head_->next;
-      ::operator delete(static_cast<void*>(head_));
-      head_ = next;
-    }
-  }
-
-  void* acquire() {
-    if (head_ != nullptr) {
-      Node* node = head_;
-      head_ = node->next;
-      --free_;
-      return static_cast<void*>(node);
-    }
-    return ::operator new(kEventBlockSize);
-  }
-
-  void release(void* block) noexcept {
-    Node* node = ::new (block) Node{head_};
-    head_ = node;
-    ++free_;
-  }
-
-  /// Blocks currently parked on the freelist (test introspection).
-  [[nodiscard]] std::size_t free_blocks() const { return free_; }
-
- private:
-  struct Node {
-    Node* next;
-  };
-  Node* head_ = nullptr;
-  std::size_t free_ = 0;
-};
-
-inline EventBlockPool& event_block_pool() {
-  thread_local EventBlockPool pool;
-  return pool;
-}
-
 }  // namespace detail
 
 /// Move-only type-erased `void()` callable for simulator events.
 ///
 /// Unlike std::function it never heap-allocates for callables up to 64
-/// bytes (libstdc++'s std::function spills to the heap past 16), and
-/// callables up to 256 bytes recycle fixed-size blocks through a
-/// thread-local freelist, so steady-state event scheduling performs zero
-/// heap allocations for every capture size the protocol stack produces.
+/// bytes (libstdc++'s std::function spills to the heap past 16). Larger or
+/// over-aligned callables are allocated with `new T`, which honours their
+/// alignment; the protocol stack schedules almost none of them.
 class EventFn {
  public:
   EventFn() noexcept = default;
@@ -96,23 +41,8 @@ class EventFn {
       ::new (static_cast<void*>(storage_)) T(std::forward<F>(fn));
       ops_ = &kOps<InlineOps<T>>;
     } else {
-      constexpr bool pooled = sizeof(T) <= detail::kEventBlockSize &&
-                              alignof(T) <= alignof(std::max_align_t);
-      void* block = pooled ? detail::event_block_pool().acquire()
-                           : ::operator new(sizeof(T));
-      T* obj = nullptr;
-      try {
-        obj = ::new (block) T(std::forward<F>(fn));
-      } catch (...) {
-        if constexpr (pooled) {
-          detail::event_block_pool().release(block);
-        } else {
-          ::operator delete(block);
-        }
-        throw;
-      }
-      *reinterpret_cast<T**>(static_cast<void*>(storage_)) = obj;
-      ops_ = &kOps<OutOfLineOps<T, pooled>>;
+      ::new (static_cast<void*>(storage_)) T*(new T(std::forward<F>(fn)));
+      ops_ = &kOps<HeapOps<T>>;
     }
   }
 
@@ -155,22 +85,12 @@ class EventFn {
     }
   };
 
-  template <typename T, bool Pooled>
-  struct OutOfLineOps {
+  template <typename T>
+  struct HeapOps {
     static T* slot(void* storage) { return *static_cast<T**>(storage); }
     static void invoke(void* storage) { (*slot(storage))(); }
-    static void destroy(void* storage) noexcept {
-      T* obj = slot(storage);
-      obj->~T();
-      if constexpr (Pooled) {
-        detail::event_block_pool().release(static_cast<void*>(obj));
-      } else {
-        ::operator delete(static_cast<void*>(obj));
-      }
-    }
-    static void relocate(void* dst, void* src) noexcept {
-      *static_cast<T**>(dst) = slot(src);
-    }
+    static void destroy(void* storage) noexcept { delete slot(storage); }
+    static void relocate(void* dst, void* src) noexcept { ::new (dst) T*(slot(src)); }
   };
 
   template <typename OpsImpl>

@@ -37,8 +37,8 @@ class EventHandle {
 class Simulator {
  public:
   /// Move-only small-buffer callable: hot-path captures (<= 64 bytes) are
-  /// stored inline, larger ones recycle pooled blocks — scheduling an event
-  /// does not hit the heap in steady state (see event_fn.hpp).
+  /// stored inline, so scheduling them does not hit the heap (see
+  /// event_fn.hpp).
   using Callback = EventFn;
 
   explicit Simulator(std::uint64_t seed = 1) : rng_{seed} {}
@@ -109,32 +109,11 @@ class Simulator {
     return executed;
   }
 
-  /// Execute exactly one event if available. Returns false when idle.
-  bool step() {
-    const auto host_start = std::chrono::steady_clock::now();
-    while (!queue_.empty()) {
-      Event ev{queue_.top().when, queue_.top().id, std::move(queue_.top().fn)};
-      queue_.pop();
-      --pending_;
-      if (is_cancelled(ev.id)) continue;
-      now_ = ev.when;
-      {
-        const prof::Scope event_scope{"sim.event"};
-        ev.fn();
-      }
-      ++executed_total_;
-      accrue_host_time(host_start);
-      return true;
-    }
-    accrue_host_time(host_start);
-    return false;
-  }
-
   [[nodiscard]] std::size_t pending_events() const { return pending_; }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
   /// Events executed over the simulator's lifetime (observability export).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_total_; }
-  /// Host (wall-clock) nanoseconds spent inside run_until()/step() over the
+  /// Host (wall-clock) nanoseconds spent inside run_until() over the
   /// simulator's lifetime. Benches divide events_executed() by this to get
   /// an events/sec figure that measures the event loop itself rather than
   /// whatever one-off setup (e.g. the initial CAP solve) surrounds it.

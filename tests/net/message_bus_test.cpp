@@ -102,34 +102,35 @@ TEST(MessageBus, MulticastSkipsSender) {
   EXPECT_EQ(c_got, 1);
 }
 
-TEST(MessageBus, InterceptorCanDrop) {
+TEST(MessageBus, FaultHookCanDrop) {
   Fixture f;
   f.make_line();
-  int received = 0;
-  f.bus.attach(NodeId{1}, [&](NodeId, const std::string&) { ++received; });
-  f.bus.set_interceptor([](NodeId, NodeId, const std::string& msg)
-                            -> std::optional<sim::SimTime> {
-    if (msg == "drop-me") return std::nullopt;
-    return sim::SimTime::zero();
+  std::vector<std::string> received;
+  f.bus.attach(NodeId{1}, [&](NodeId, const std::string& msg) { received.push_back(msg); });
+  f.bus.set_fault_hook([](NodeId, NodeId, const std::string& msg, const std::string&) {
+    BusFaultAction<std::string> action;
+    action.drop = msg == "drop-me";
+    return action;
   });
   f.bus.send(NodeId{0}, NodeId{1}, "drop-me", 0, "test");
   f.bus.send(NodeId{0}, NodeId{1}, "keep-me", 0, "test");
   f.sim.run();
-  EXPECT_EQ(received, 1);
+  EXPECT_EQ(received, std::vector<std::string>{"keep-me"});
 }
 
-TEST(MessageBus, InterceptorCanDelay) {
+TEST(MessageBus, FaultHookDelayAddsToDelivery) {
   Fixture f;
   f.make_line();
   sim::SimTime at = sim::SimTime::zero();
   f.bus.attach(NodeId{1}, [&](NodeId, const std::string&) { at = f.sim.now(); });
-  f.bus.set_interceptor(
-      [](NodeId, NodeId, const std::string&) -> std::optional<sim::SimTime> {
-        return 300_ms;  // lazy-node behaviour from the paper's experiment 3
-      });
+  f.bus.set_fault_hook([](NodeId, NodeId, const std::string&, const std::string&) {
+    BusFaultAction<std::string> action;
+    action.extra_delay = 300_ms;  // lazy-node behaviour from the paper's experiment 3
+    return action;
+  });
   f.bus.send(NodeId{0}, NodeId{1}, "slow", 0, "test");
   f.sim.run();
-  EXPECT_EQ(at, 301_ms);
+  EXPECT_EQ(at, 301_ms);  // 1 ms propagation + 300 ms fault delay
 }
 
 TEST(MessageBus, CountsMessagesByCategory) {
@@ -144,8 +145,6 @@ TEST(MessageBus, CountsMessagesByCategory) {
   EXPECT_EQ(f.bus.stats().messages("PKT-IN"), 2u);
   EXPECT_EQ(f.bus.stats().messages("AGREE"), 1u);
   EXPECT_EQ(f.bus.stats().messages("unknown"), 0u);
-  f.bus.stats().reset();
-  EXPECT_EQ(f.bus.stats().total_messages(), 0u);
 }
 
 TEST(MessageBus, TracksBytesPerCategory) {
@@ -173,10 +172,10 @@ TEST(MessageBus, ObservatoryCountsTrafficAndDrops) {
   obsy.enable(f.sim);
   f.bus.set_observatory(&obsy);
   f.bus.attach(NodeId{1}, [](NodeId, const std::string&) {});
-  f.bus.set_interceptor([](NodeId, NodeId, const std::string& msg)
-                            -> std::optional<sim::SimTime> {
-    if (msg == "drop-me") return std::nullopt;
-    return sim::SimTime::zero();
+  f.bus.set_fault_hook([](NodeId, NodeId, const std::string& msg, const std::string&) {
+    BusFaultAction<std::string> action;
+    action.drop = msg == "drop-me";
+    return action;
   });
 
   f.bus.send(NodeId{0}, NodeId{1}, "hello", 12'500, "PKT-IN");
@@ -189,7 +188,7 @@ TEST(MessageBus, ObservatoryCountsTrafficAndDrops) {
   EXPECT_EQ(reg.counter("net.messages", cat).value(), 1u);  // delivered only
   EXPECT_EQ(reg.counter("net.bytes", cat).value(), 12'500u);
   EXPECT_EQ(reg.counter("net.dropped",
-                        {{"category", "PKT-IN"}, {"reason", "interceptor"}})
+                        {{"category", "PKT-IN"}, {"reason", "fault"}})
                 .value(),
             1u);
   EXPECT_EQ(reg.counter("net.dropped",
@@ -257,7 +256,19 @@ TEST(MessageBus, SendObserverConservationWithDropsAndDups) {
   f.bus.send(NodeId{0}, NodeId{1}, "dup-me", 8, "AGREE");
   f.bus.send(NodeId{0}, NodeId{1}, "drop-me", 8, "AGREE");
   f.bus.send(NodeId{0}, c, "unroutable", 8, "AGREE");  // partition drop
+
+  // Backlog: the original and both duplicates are scheduled for node 1;
+  // neither drop is. Delivery must bring every gauge back to zero.
+  const MessageStats& stats = f.bus.stats();
+  EXPECT_EQ(stats.in_flight_total(), 3u);
+  EXPECT_EQ(stats.pending_inbox(1), 3u);
+  EXPECT_EQ(stats.in_flight_messages("AGREE"), 3u);
+  EXPECT_EQ(stats.in_flight_bytes("AGREE"), 24u);
   f.sim.run();
+  EXPECT_EQ(stats.in_flight_total(), 0u);
+  EXPECT_EQ(stats.pending_inbox(1), 0u);
+  EXPECT_EQ(stats.in_flight_messages("AGREE"), 0u);
+  EXPECT_EQ(stats.in_flight_bytes("AGREE"), 0u);
 
   // Conservation: the observer saw exactly what MessageStats accounted —
   // drops included, fault duplicates reported but never re-counted.

@@ -48,19 +48,6 @@ TEST(LinkStats, DropsCountTowardConservationDupsDoNot) {
   EXPECT_EQ(stats.category_dups("REPLY"), 0u);
 }
 
-TEST(LinkStats, ResetZeroesCountersButKeepsKeys) {
-  LinkStats stats;
-  stats.record(3, 4, 64, 1, false, "DATA");
-  stats.reset();
-  ASSERT_EQ(stats.links().size(), 1u);
-  const LinkEntry& link = stats.links().at({3, 4});
-  EXPECT_EQ(link.msgs, 0u);
-  EXPECT_EQ(link.bytes, 0u);
-  EXPECT_EQ(link.dups, 0u);
-  EXPECT_EQ(stats.total_msgs(), 0u);
-  EXPECT_EQ(stats.categories().at("DATA").msgs, 0u);
-}
-
 TEST(Complexity, AnalyticBoundMatchesFormula) {
   ComplexityParams p;
   p.c = 4;

@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "curb/sim/simulator.hpp"
 #include "curb/sim/time.hpp"
@@ -60,80 +61,56 @@ TEST(EventFn, DestructorRunsCaptureDestructors) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-// A capture too large for the 64-byte inline buffer but within the 256-byte
-// pooled-block class.
+// A capture too large for the 64-byte inline buffer: heap-allocated.
 struct BigCapture {
   std::array<unsigned char, 128> blob{};
   int* counter = nullptr;
   void operator()() const { ++*counter; }
 };
 
-TEST(EventFn, PooledCallablesRecycleBlocks) {
-  auto& pool = detail::event_block_pool();
-  int calls = 0;
-  BigCapture big;
-  big.counter = &calls;
+TEST(EventFn, OversizedCallablesStillWork) {
   static_assert(sizeof(BigCapture) > detail::kEventInlineSize);
-  static_assert(sizeof(BigCapture) <= detail::kEventBlockSize);
-
-  {
-    EventFn fn{big};
-    fn();
-  }
-  const std::size_t free_after_first = pool.free_blocks();
-  EXPECT_GE(free_after_first, 1u);  // destroyed callable parked its block
-
-  {
-    EventFn fn{big};  // must reuse the parked block, not allocate
-    EXPECT_EQ(pool.free_blocks(), free_after_first - 1);
-    fn();
-  }
-  EXPECT_EQ(pool.free_blocks(), free_after_first);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(EventFn, PooledMoveCarriesBlockWithoutPoolTraffic) {
-  auto& pool = detail::event_block_pool();
   int calls = 0;
   BigCapture big;
   big.counter = &calls;
-  EventFn a{big};
-  const std::size_t free_before = pool.free_blocks();
-  EventFn b{std::move(a)};  // pointer relocation: no release, no acquire
-  EXPECT_EQ(pool.free_blocks(), free_before);
-  b();
+  EventFn fn{big};
+  EventFn moved{std::move(fn)};  // pointer relocation keeps the same object
+  moved();
   EXPECT_EQ(calls, 1);
 }
 
-// Beyond the pooled class: plain heap, still correct.
-struct HugeCapture {
-  std::array<unsigned char, 512> blob{};
-  int* counter = nullptr;
-  void operator()() const { ++*counter; }
+// Small enough for the inline buffer, but aligned past max_align_t, so it
+// takes the heap path, which must honour the alignment.
+struct alignas(64) AlignedCapture {
+  int* misaligned = nullptr;
+  void operator()() const {
+    if (reinterpret_cast<std::uintptr_t>(this) % alignof(AlignedCapture) != 0) {
+      ++*misaligned;
+    }
+  }
 };
 
-TEST(EventFn, OversizedCallablesStillWork) {
-  static_assert(sizeof(HugeCapture) > detail::kEventBlockSize);
-  int calls = 0;
-  HugeCapture huge;
-  huge.counter = &calls;
-  EventFn fn{huge};
-  fn();
-  EXPECT_EQ(calls, 1);
+TEST(EventFn, OverAlignedCallableIsAligned) {
+  static_assert(sizeof(AlignedCapture) <= detail::kEventInlineSize);
+  int misaligned = 0;
+  std::vector<EventFn> fns;  // all alive at once: consecutive heap blocks
+  for (int i = 0; i < 1000; ++i) fns.emplace_back(AlignedCapture{&misaligned});
+  for (EventFn& fn : fns) fn();
+  EXPECT_EQ(misaligned, 0);
 }
 
 TEST(EventFn, SimulatorSchedulesEverySizeClass) {
   Simulator sim;
   int calls = 0;
+  int misaligned = 0;
   BigCapture big;
   big.counter = &calls;
-  HugeCapture huge;
-  huge.counter = &calls;
   sim.schedule(SimTime::millis(1), [&calls] { ++calls; });
   sim.schedule(SimTime::millis(2), big);
-  sim.schedule(SimTime::millis(3), huge);
+  sim.schedule(SimTime::millis(3), AlignedCapture{&misaligned});
   EXPECT_EQ(sim.run(), 3u);
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(misaligned, 0);
 }
 
 TEST(Simulator, AccumulatesHostRunTime) {
@@ -146,7 +123,7 @@ TEST(Simulator, AccumulatesHostRunTime) {
   EXPECT_GT(sim.host_run_ns(), 0u);
   const auto after_run = sim.host_run_ns();
   sim.schedule(SimTime::millis(200), [] {});
-  sim.step();
+  sim.run();
   EXPECT_GT(sim.host_run_ns(), after_run);
 }
 

@@ -89,18 +89,6 @@ TEST(Simulator, SchedulingIntoThePastThrows) {
   sim.run();
 }
 
-TEST(Simulator, StepExecutesOneEvent) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule(1_ms, [&] { ++fired; });
-  sim.schedule(2_ms, [&] { ++fired; });
-  EXPECT_TRUE(sim.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.step());
-  EXPECT_FALSE(sim.step());
-  EXPECT_EQ(fired, 2);
-}
-
 TEST(Simulator, EventBudgetThrowsOnLivelock) {
   Simulator sim;
   sim.set_event_budget(100);
