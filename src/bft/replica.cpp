@@ -119,6 +119,16 @@ void PbftReplica::on_message(const PbftMessage& msg) {
     case PbftMessage::Type::kCommit: handle_commit(msg); break;
     case PbftMessage::Type::kViewChange: handle_view_change(msg); break;
     case PbftMessage::Type::kNewView: handle_new_view(msg); break;
+    // HotStuff messages belong to the other engine; a PBFT replica ignores
+    // them.
+    case PbftMessage::Type::kProposal:
+    case PbftMessage::Type::kVotePrepare:
+    case PbftMessage::Type::kQcPrepare:
+    case PbftMessage::Type::kVotePreCommit:
+    case PbftMessage::Type::kQcPreCommit:
+    case PbftMessage::Type::kVoteCommit:
+    case PbftMessage::Type::kQcCommit:
+      break;
   }
 }
 

@@ -8,18 +8,18 @@
 
 namespace curb::chain {
 
-Blockchain::Blockchain(Block genesis) {
-  if (genesis.header().height != 0) {
+Blockchain::Blockchain(std::shared_ptr<const Block> genesis) {
+  if (genesis->header().height != 0) {
     throw std::invalid_argument{"Blockchain: genesis must have height 0"};
   }
-  if (!genesis.well_formed()) {
+  if (!genesis->well_formed()) {
     throw std::invalid_argument{"Blockchain: genesis merkle root mismatch"};
   }
-  for (const Transaction& tx : genesis.transactions()) tx_index_[tx.id()] = 0;
+  for (const Transaction& tx : genesis->transactions()) tx_index_[tx.id()] = 0;
   blocks_.push_back(std::move(genesis));
 }
 
-std::optional<AppendError> Blockchain::append(const Block& block) {
+std::optional<AppendError> Blockchain::append(std::shared_ptr<const Block> shared) {
   const prof::Scope scope{"chain.append"};
   const auto reject = [this](AppendError err) {
     if (obs_ != nullptr) {
@@ -29,14 +29,17 @@ std::optional<AppendError> Blockchain::append(const Block& block) {
     }
     return err;
   };
+  const Block& block = *shared;
   if (block.header().height != height() + 1) return reject(AppendError::kWrongHeight);
   if (block.header().prev_hash != tip().hash()) return reject(AppendError::kWrongPrevHash);
   if (!block.well_formed()) return reject(AppendError::kBadMerkleRoot);
-  for (const Transaction& tx : block.transactions()) {
-    if (tx_index_.contains(tx.id())) return reject(AppendError::kDuplicateTransaction);
-  }
-  for (const Transaction& tx : block.transactions()) {
-    tx_index_[tx.id()] = block.header().height;
+  // One index probe per transaction: insert, and on a duplicate (in the chain
+  // or earlier in this block) take this block's entries out again.
+  const std::vector<Transaction>& txs = block.transactions();
+  for (std::size_t i = 0; i < txs.size(); ++i) {
+    if (tx_index_.try_emplace(txs[i].id(), block.header().height).second) continue;
+    for (std::size_t j = 0; j < i; ++j) tx_index_.erase(txs[j].id());
+    return reject(AppendError::kDuplicateTransaction);
   }
   if (obs_ != nullptr) {
     blocks_appended_->inc();
@@ -45,7 +48,7 @@ std::optional<AppendError> Blockchain::append(const Block& block) {
     block_interval_us_->record(static_cast<double>(block.header().timestamp_us -
                                                    tip().header().timestamp_us));
   }
-  blocks_.push_back(block);
+  blocks_.push_back(std::move(shared));
   return std::nullopt;
 }
 
@@ -68,7 +71,7 @@ void Blockchain::set_observatory(obs::Observatory* obs, std::string owner) {
   height_gauge_->set(static_cast<double>(height()));
 }
 
-const Block& Blockchain::at(std::uint64_t h) const {
+const std::shared_ptr<const Block>& Blockchain::shared_at(std::uint64_t h) const {
   if (h >= blocks_.size()) throw std::out_of_range{"Blockchain: height out of range"};
   return blocks_[h];
 }
@@ -90,9 +93,9 @@ void Blockchain::save(std::ostream& out) const {
   const auto& hb = header.data();
   out.write(reinterpret_cast<const char*>(hb.data()),
             static_cast<std::streamsize>(hb.size()));
-  for (const Block& block : blocks_) {
+  for (const auto& block : blocks_) {
     ByteWriter w;
-    w.bytes(block.serialize());
+    w.bytes(block->serialize());
     const auto& bytes = w.data();
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -35,14 +36,21 @@ enum class AppendError {
 /// Per-controller blockchain database: an append-only, fully validated chain
 /// with a transaction index for duplicate detection and traceability queries
 /// ("which block recorded this flow rule?" — the paper's verifiability and
-/// traceability properties).
+/// traceability properties). Blocks are held as shared immutable objects, so
+/// the replicas of one network can hold the same decoded block; each replica
+/// still validates every block it appends.
 class Blockchain {
  public:
   /// Start from a genesis block (height 0, any prev hash).
-  explicit Blockchain(Block genesis);
+  explicit Blockchain(std::shared_ptr<const Block> genesis);
+  explicit Blockchain(Block genesis)
+      : Blockchain{std::make_shared<const Block>(std::move(genesis))} {}
 
   /// Validate and append. Returns the error on rejection, nullopt on success.
-  std::optional<AppendError> append(const Block& block);
+  std::optional<AppendError> append(std::shared_ptr<const Block> block);
+  std::optional<AppendError> append(Block block) {
+    return append(std::make_shared<const Block>(std::move(block)));
+  }
 
   /// Attach observability (nullptr disables). `owner` labels this chain's
   /// series (one chain per controller). Appends feed block count / chain
@@ -50,11 +58,14 @@ class Blockchain {
   /// counted by reason.
   void set_observatory(obs::Observatory* obs, std::string owner);
 
-  [[nodiscard]] std::uint64_t height() const { return blocks_.back().header().height; }
+  [[nodiscard]] std::uint64_t height() const { return blocks_.back()->header().height; }
   [[nodiscard]] std::size_t size() const { return blocks_.size(); }
-  [[nodiscard]] const Block& tip() const { return blocks_.back(); }
-  [[nodiscard]] const Block& at(std::uint64_t height) const;
-  [[nodiscard]] const Block& genesis() const { return blocks_.front(); }
+  [[nodiscard]] const Block& tip() const { return *blocks_.back(); }
+  [[nodiscard]] const Block& at(std::uint64_t height) const { return *shared_at(height); }
+  [[nodiscard]] const Block& genesis() const { return *blocks_.front(); }
+  /// The stored block itself, for another replica to append without a copy.
+  /// Throws std::out_of_range.
+  [[nodiscard]] const std::shared_ptr<const Block>& shared_at(std::uint64_t height) const;
 
   /// Whether a transaction id is recorded anywhere in the chain.
   [[nodiscard]] bool contains_transaction(const crypto::Hash256& tx_id) const;
@@ -76,7 +87,7 @@ class Blockchain {
   [[nodiscard]] static Blockchain load(std::istream& in);
 
  private:
-  std::vector<Block> blocks_;
+  std::vector<std::shared_ptr<const Block>> blocks_;
   /// Transaction id -> height. Looked up for every appended transaction and
   /// never iterated, so it is hashed.
   std::unordered_map<crypto::Hash256, std::uint64_t, crypto::DigestHash> tx_index_;

@@ -18,6 +18,7 @@ namespace curb::chain {
 /// deterministic across platforms.
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v) { raw(&v, 2); }
   void u32(std::uint32_t v) { raw(&v, 4); }

@@ -56,7 +56,9 @@ class Transaction {
 
   /// Transaction id: SHA-256 over the signing bytes (stable under
   /// re-signing). Computed once and memoized — every field feeding the id is
-  /// fixed at construction/deserialization, so the cache never goes stale.
+  /// fixed at construction/deserialization, so the cache never goes stale. A
+  /// decoded transaction hashes the wire prefix it was read from, which is
+  /// its signing bytes, so it never re-encodes itself.
   [[nodiscard]] const crypto::Hash256& id() const;
 
   /// Sign with the handling leader's key / verify against its public key.

@@ -5,8 +5,15 @@
 
 namespace curb::chain {
 
+namespace {
+/// Wire bytes ahead of the config: type, switch, controller, request id and
+/// the config's length prefix.
+constexpr std::size_t kFixedFieldBytes = 1 + 4 + 4 + 8 + 4;
+}  // namespace
+
 std::vector<std::uint8_t> Transaction::signing_bytes() const {
   ByteWriter w;
+  w.reserve(kFixedFieldBytes + config_.size());
   w.u8(static_cast<std::uint8_t>(type_));
   w.u32(switch_id_);
   w.u32(controller_id_);
@@ -17,6 +24,7 @@ std::vector<std::uint8_t> Transaction::signing_bytes() const {
 
 std::vector<std::uint8_t> Transaction::serialize() const {
   ByteWriter w;
+  w.reserve(kFixedFieldBytes + config_.size() + 1 + (signature_ ? 64 : 0));
   w.u8(static_cast<std::uint8_t>(type_));
   w.u32(switch_id_);
   w.u32(controller_id_);
@@ -39,6 +47,9 @@ Transaction Transaction::deserialize(std::span<const std::uint8_t> bytes) {
   tx.controller_id_ = r.u32();
   tx.request_id_ = r.u64();
   tx.config_ = r.bytes();
+  // The signing bytes are exactly the prefix read so far, so the id is hashed
+  // from the wire instead of from a re-encoding.
+  tx.id_memo_ = crypto::Sha256::digest(bytes.first(bytes.size() - r.remaining()));
   if (r.u8() != 0) {
     const auto sig_bytes = r.fixed<64>();
     tx.signature_ = crypto::Signature::from_bytes(

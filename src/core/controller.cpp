@@ -52,9 +52,10 @@ Controller::Controller(std::uint32_t id, net::NodeId node, crypto::KeyPair key,
       network_{network},
       rng_{network.options().seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))} {}
 
-void Controller::initialize(const AssignmentState& state, const chain::Block& genesis) {
+void Controller::initialize(const AssignmentState& state,
+                            std::shared_ptr<const chain::Block> genesis) {
   state_ = state;
-  blockchain_ = std::make_unique<chain::Blockchain>(genesis);
+  blockchain_ = std::make_unique<chain::Blockchain>(std::move(genesis));
   blockchain_->set_observatory(network_.observatory(), "ctrl-" + std::to_string(id_));
   rebuild_replicas();
 }
@@ -164,8 +165,8 @@ void Controller::rebuild_replicas() {
   // Hand over the confirmed backlog: former members re-AGREE everything not
   // yet on chain to the incoming committee, so the new leader can seal it.
   if (was_member && committee_changed && !block_buffer_.empty()) {
-    for (const auto& [instance, tx_list] : block_buffer_) {
-      AgreeMsg agree{instance, id_, tx_list};
+    for (const ConfirmedTxList& confirmed : block_buffer_) {
+      AgreeMsg agree{confirmed.instance, id_, confirmed.bytes};
       for (const std::uint32_t member : committee) {
         if (member == id_) continue;  // self re-delivery handled below
         send_to_controller(member, CurbMessage{agree});
@@ -194,14 +195,14 @@ void Controller::rebuild_replicas() {
     }
     if (options.verify_signatures) {
       cfg.validate_payload = [this](const std::vector<std::uint8_t>& payload) {
-        chain::Block block;
+        std::shared_ptr<const chain::Block> block;
         try {
-          block = chain::Block::deserialize(payload);
+          block = network_.validated_block(
+              chain::Block::deserialize_header(payload).hash(), payload);
         } catch (const std::exception&) {
-          return false;
+          return false;  // truncated header
         }
-        if (!block.well_formed()) return false;
-        return verify_block_txs(bft::payload_digest(payload), block);
+        return block != nullptr && verify_block_txs(bft::payload_digest(payload), *block);
       };
     }
     final_replica_ = bft::make_replica(
@@ -305,7 +306,8 @@ void Controller::restart_from(const chain::Blockchain& donor) {
   // the committed requests and reassignments. Replaying them rebuilds the
   // assignment view, the served-request set, and the policy table without
   // trusting any single peer beyond the chain's own hash links.
-  blockchain_ = std::make_unique<chain::Blockchain>(donor.genesis());
+  // The donor's blocks are shared, not copied; append still checks each one.
+  blockchain_ = std::make_unique<chain::Blockchain>(donor.shared_at(0));
   blockchain_->set_observatory(network_.observatory(), "ctrl-" + std::to_string(id_));
   state_ = network_.genesis_state();
   for (const GroupInfo& g : state_.groups()) {
@@ -313,7 +315,7 @@ void Controller::restart_from(const chain::Blockchain& donor) {
   }
   for (std::uint64_t h = 1; h <= donor.height(); ++h) {
     const chain::Block& block = donor.at(h);
-    if (blockchain_->append(block)) break;  // donor chain broken: stop here
+    if (blockchain_->append(donor.shared_at(h))) break;  // donor chain broken: stop here
     applied_blocks_.insert(block.hash());
     for (const chain::Transaction& tx : block.transactions()) {
       committed_requests_.insert({tx.switch_id(), tx.request_id()});
@@ -798,7 +800,13 @@ void Controller::on_agree(const AgreeMsg& agree) {
   // EVERY committee member buffers the confirmed txList; only the leader
   // drains the buffer into block proposals. If leadership moves (committee
   // change after a reassignment), the new leader still holds the backlog.
-  block_buffer_.push_back({agree.instance, agree.tx_list});
+  ConfirmedTxList confirmed{agree.instance, agree.tx_list, std::nullopt};
+  try {
+    confirmed.txs = deserialize_tx_list(agree.tx_list);
+  } catch (const std::exception&) {
+    // Kept undecoded: a malformed txList must not take the leader down.
+  }
+  block_buffer_.push_back(std::move(confirmed));
   flush_block_buffer();
 }
 
@@ -810,15 +818,10 @@ void Controller::flush_block_buffer() {
   // skipping transactions that already reached the chain.
   std::vector<chain::Transaction> txs;
   std::unordered_set<crypto::Hash256, crypto::DigestHash> seen;
-  for (const auto& [instance, tx_list] : block_buffer_) {
-    std::vector<chain::Transaction> list;
-    try {
-      list = deserialize_tx_list(tx_list);
-    } catch (const std::exception&) {
-      continue;  // malformed txList must not take the leader down
-    }
-    for (auto& tx : list) {
-      const auto id = tx.id();
+  for (ConfirmedTxList& confirmed : block_buffer_) {
+    if (!confirmed.txs) continue;  // undecodable
+    for (chain::Transaction& tx : *confirmed.txs) {
+      const crypto::Hash256& id = tx.id();
       if (!blockchain_->contains_transaction(id) && seen.insert(id).second) {
         txs.push_back(std::move(tx));
       }
@@ -863,7 +866,7 @@ void Controller::on_final_committed(const std::vector<std::uint8_t>& payload) {
 void Controller::on_final_agree(const FinalAgreeMsg& msg) {
   if (!state_.in_final_committee(msg.sender_controller)) return;
   // An applied block is recognised from its header alone, before the body
-  // is decoded and its Merkle tree rebuilt.
+  // is looked at.
   crypto::Hash256 hash{};
   try {
     hash = chain::Block::deserialize_header(msg.block).hash();
@@ -871,24 +874,19 @@ void Controller::on_final_agree(const FinalAgreeMsg& msg) {
     return;  // malformed
   }
   if (applied_blocks_.contains(hash)) return;
+  // Decode and Merkle check run once per network for every controller; a
+  // corrupted copy that keeps the header is checked on its own.
+  std::shared_ptr<const chain::Block> block = network_.validated_block(hash, msg.block);
+  if (block == nullptr) return;  // malformed, or the Merkle root does not match
+  // The signature check stays with each controller. Only a byte-identical
+  // copy is served the tally's block object, and it gets the same verdict.
   auto tally = final_agree_votes_.find(hash);
-  // Validation is a function of the bytes alone, so a copy byte-identical to
-  // one that passed is counted without decoding or checking it again. Any
-  // other copy (a corrupted one can share the header) is validated in full.
-  if (tally == final_agree_votes_.end() || tally->second.bytes != msg.block) {
-    chain::Block block;
-    try {
-      block = chain::Block::deserialize(msg.block);
-    } catch (const std::exception&) {
-      return;  // malformed
-    }
-    if (!block.well_formed()) return;
+  if (tally == final_agree_votes_.end() || tally->second.block != block) {
     if (network_.options().verify_signatures &&
-        !verify_block_txs(bft::payload_digest(msg.block), block)) {
+        !verify_block_txs(bft::payload_digest(msg.block), *block)) {
       return;  // forged transaction inside the block: never vote for it
     }
     tally = final_agree_votes_.try_emplace(hash).first;
-    tally->second.bytes = msg.block;
     tally->second.block = std::move(block);
   }
   tally->second.votes.insert(msg.sender_controller);
@@ -896,13 +894,14 @@ void Controller::on_final_agree(const FinalAgreeMsg& msg) {
   if (tally->second.votes.size() < state_.f() + 1) return;
   applied_blocks_.insert(hash);
   // apply_block can re-enter on_final_agree, so the tally goes first.
-  const chain::Block block = std::move(tally->second.block);
+  const std::shared_ptr<const chain::Block> applied = std::move(tally->second.block);
   final_agree_votes_.erase(tally);
-  apply_block(block);
+  apply_block(applied);
 }
 
-void Controller::apply_block(const chain::Block& block) {
-  if (blockchain_->append(block).has_value()) return;  // rejected (stale/duplicate)
+void Controller::apply_block(const std::shared_ptr<const chain::Block>& shared) {
+  if (blockchain_->append(shared).has_value()) return;  // rejected (stale/duplicate)
+  const chain::Block& block = *shared;
   if (obs::Observatory* obsy = network_.observatory(); obsy != nullptr) {
     obsy->tracer.end_keyed(stage_key(PbftEnvelope::kFinalInstance, block.hash()));
   }
@@ -920,18 +919,13 @@ void Controller::apply_block(const chain::Block& block) {
     }
   }
   // Drop buffered txLists fully covered by the chain (every member buffers;
-  // this is the non-leader's drain path).
-  std::erase_if(block_buffer_, [&](const auto& entry) {
-    std::vector<chain::Transaction> list;
-    try {
-      list = deserialize_tx_list(entry.second);
-    } catch (const std::exception&) {
-      return true;  // malformed txList: drop it from the buffer
-    }
-    for (const auto& tx : list) {
-      if (!blockchain_->contains_transaction(tx.id())) return false;
-    }
-    return true;
+  // this is the non-leader's drain path) and undecodable ones.
+  std::erase_if(block_buffer_, [&](const ConfirmedTxList& confirmed) {
+    if (!confirmed.txs) return true;
+    return std::all_of(confirmed.txs->begin(), confirmed.txs->end(),
+                       [&](const chain::Transaction& tx) {
+                         return blockchain_->contains_transaction(tx.id());
+                       });
   });
   // The final leader may now seal the next block.
   final_proposal_in_flight_ = false;

@@ -40,7 +40,7 @@ class Controller {
 
   /// Step 0: install the initial assignment view and genesis block, build
   /// PBFT replicas for every group membership (and finalCom if elected).
-  void initialize(const AssignmentState& state, const chain::Block& genesis);
+  void initialize(const AssignmentState& state, std::shared_ptr<const chain::Block> genesis);
 
   /// Entry point for every message addressed to this controller.
   void on_message(net::NodeId from, const CurbMessage& msg);
@@ -124,7 +124,7 @@ class Controller {
   void flush_block_buffer();
   void on_final_committed(const std::vector<std::uint8_t>& payload);
   void on_final_agree(const FinalAgreeMsg& msg);
-  void apply_block(const chain::Block& block);
+  void apply_block(const std::shared_ptr<const chain::Block>& block);
   void apply_reassignment(const chain::Transaction& tx, std::uint64_t height);
   [[nodiscard]] bool reassignment_resolved(const chain::Transaction& tx) const;
   void rehandle_stale_reassignment(const chain::Transaction& tx);
@@ -224,9 +224,17 @@ class Controller {
     bool buffered = false;
   };
   std::unordered_map<AgreeKey, AgreeTally, AgreeKeyHash> agree_votes_;
-  /// Confirmed-but-not-yet-on-chain txLists, tagged with their instance so
-  /// they can be re-AGREEd to a new committee after a membership change.
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> block_buffer_;
+  /// A confirmed-but-not-yet-on-chain txList, tagged with its instance so it
+  /// can be re-AGREEd to a new committee after a membership change. Decoded
+  /// once, at AGREE quorum. `txs` is absent when the bytes do not decode:
+  /// such a list is never sealed into a block and is dropped at the next
+  /// drain, which apply_block runs before any committee handover.
+  struct ConfirmedTxList {
+    std::uint32_t instance = 0;
+    std::vector<std::uint8_t> bytes;
+    std::optional<std::vector<chain::Transaction>> txs;
+  };
+  std::vector<ConfirmedTxList> block_buffer_;
   /// Controllers that have ever served on the final committee (monotone);
   /// AGREEs from them are accepted so committee handovers can forward
   /// their confirmed backlog.
@@ -246,19 +254,23 @@ class Controller {
   /// to transaction ids, and an id leaves out the signature.)
   std::unordered_map<crypto::Hash256, bool, crypto::DigestHash> payload_verdicts_;
 
-  /// FINAL-AGREE quorum tracking per block hash: the senders, and the bytes
-  /// and decoded block of the last copy that passed validation. A copy equal
-  /// to those bytes is counted without being decoded or checked again.
+  /// FINAL-AGREE quorum tracking per block hash: the senders, and the block
+  /// of the last copy that passed validation, as CurbNetwork::validated_block
+  /// served it. The network serves one block object only for byte-identical
+  /// copies, so a copy served this object is counted without its signatures
+  /// being checked again.
   struct FinalAgreeTally {
     bft::VoteSet votes;
-    std::vector<std::uint8_t> bytes;
-    chain::Block block;
+    std::shared_ptr<const chain::Block> block;
   };
   std::unordered_map<crypto::Hash256, FinalAgreeTally, crypto::DigestHash> final_agree_votes_;
   std::unordered_set<crypto::Hash256, crypto::DigestHash> applied_blocks_;
   /// Non-parallel mode (paper Fig. 4(c)): a group must see its previous
   /// txList reach the chain before proposing the next one. Tracks the tx
-  /// ids each instance has proposed that are not yet on-chain.
+  /// ids each instance has proposed that are not yet on-chain. Written in
+  /// both modes: apply_block schedules a flush of the request buffer when an
+  /// instance's set empties, and those flushes are events in parallel mode
+  /// too.
   std::map<std::uint32_t, std::unordered_set<crypto::Hash256, crypto::DigestHash>>
       outstanding_tx_;
 

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "curb/core/assignment_state.hpp"
@@ -102,6 +104,16 @@ class CurbNetwork {
   [[nodiscard]] const AssignmentState& genesis_state() const { return genesis_state_; }
   [[nodiscard]] const chain::Block& genesis_block() const { return *genesis_block_; }
 
+  /// The block serialized as `bytes`, decoded and Merkle-checked once per
+  /// network for all its controllers; nullptr if it does not decode or its
+  /// Merkle root does not match its transactions. `header_hash` is the hash
+  /// of the header `bytes` starts with. A copy is served from the cache only
+  /// if every byte equals the cached copy's, so a corrupted copy that keeps
+  /// the header is decoded and checked on its own. Signatures are not
+  /// checked here.
+  [[nodiscard]] std::shared_ptr<const chain::Block> validated_block(
+      const crypto::Hash256& header_hash, std::span<const std::uint8_t> bytes);
+
   /// One-way propagation delays (ms) over the topology's shortest paths.
   [[nodiscard]] double cs_delay_ms(std::uint32_t switch_id, std::uint32_t controller_id) const;
   [[nodiscard]] double cc_delay_ms(std::uint32_t c1, std::uint32_t c2) const;
@@ -144,7 +156,21 @@ class CurbNetwork {
   [[nodiscard]] opt::CapSolver& cap_solver();
 
   AssignmentState genesis_state_;
-  std::unique_ptr<chain::Block> genesis_block_;
+  std::shared_ptr<const chain::Block> genesis_block_;
+  /// validated_block's cache: the last kBlockCacheSize distinct copies that
+  /// passed, the oldest overwritten first. A block is looked up only while
+  /// its FINAL-AGREE copies are in flight, and the final leader seals one
+  /// block at a time, so a few entries serve every controller.
+  struct CachedBlock {
+    crypto::Hash256 hash{};
+    std::vector<std::uint8_t> bytes;
+    std::shared_ptr<const chain::Block> block;
+  };
+  static constexpr std::size_t kBlockCacheSize = 8;
+  std::array<CachedBlock, kBlockCacheSize> block_cache_;
+  std::size_t block_cache_next_ = 0;
+  std::uint64_t block_cache_hits_ = 0;
+  std::uint64_t block_cache_misses_ = 0;
   bool initialized_ = false;
   std::unique_ptr<obs::Observatory> observatory_;
   // slo_ before ts_: the collector's destructor closes the trailing window,

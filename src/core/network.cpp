@@ -382,6 +382,12 @@ void CurbNetwork::snapshot_runtime_metrics() {
     }
   }
 
+  // The block cache's lookups (validated_block): a hit is a FINAL-AGREE
+  // copy (or, with signatures on, a Final-PBFT proposal) served without a
+  // decode and a Merkle check.
+  registry.gauge("core.block_cache_hits").set(static_cast<double>(block_cache_hits_));
+  registry.gauge("core.block_cache_misses").set(static_cast<double>(block_cache_misses_));
+
   // Signature-cache effectiveness, exported only when this network actually
   // verifies signatures so default runs' telemetry is unchanged. Hits and
   // misses are deltas since this network's construction (the cache itself
@@ -398,6 +404,31 @@ void CurbNetwork::snapshot_runtime_metrics() {
         .set(static_cast<double>(now.misses - sigcache_baseline_.misses));
     registry.gauge("crypto.sigcache_entries").set(static_cast<double>(now.entries));
   }
+}
+
+std::shared_ptr<const chain::Block> CurbNetwork::validated_block(
+    const crypto::Hash256& header_hash, std::span<const std::uint8_t> bytes) {
+  for (const CachedBlock& entry : block_cache_) {
+    if (entry.block != nullptr && entry.hash == header_hash &&
+        std::equal(entry.bytes.begin(), entry.bytes.end(), bytes.begin(), bytes.end())) {
+      ++block_cache_hits_;
+      return entry.block;
+    }
+  }
+  ++block_cache_misses_;
+  std::shared_ptr<const chain::Block> block;
+  try {
+    block = std::make_shared<const chain::Block>(chain::Block::deserialize(bytes));
+  } catch (const std::exception&) {
+    return nullptr;  // malformed
+  }
+  if (!block->well_formed()) return nullptr;
+  CachedBlock& slot = block_cache_[block_cache_next_];
+  block_cache_next_ = (block_cache_next_ + 1) % kBlockCacheSize;
+  slot.hash = header_hash;
+  slot.bytes.assign(bytes.begin(), bytes.end());
+  slot.block = block;
+  return block;
 }
 
 std::vector<sdn::FlowEntry> CurbNetwork::compute_flow_entries(
@@ -462,11 +493,11 @@ void CurbNetwork::initialize() {
   // Genesis block records the initialization results (assignment + ids).
   chain::Transaction genesis_tx{chain::RequestType::kReassign, 0, 0, /*request_id=*/0,
                                 genesis_state_.serialize()};
-  genesis_block_ = std::make_unique<chain::Block>(
+  genesis_block_ = std::make_shared<const chain::Block>(
       chain::Block::create(0, crypto::Hash256{}, {genesis_tx}, 0, 0));
 
   for (auto& controller : controllers_) {
-    controller->initialize(genesis_state_, *genesis_block_);
+    controller->initialize(genesis_state_, genesis_block_);
   }
   for (auto& sw : switches_) {
     sw->initialize(genesis_state_);

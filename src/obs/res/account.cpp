@@ -1,7 +1,7 @@
 #include "curb/obs/res/account.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <new>
 
 // This translation unit replaces the global allocation functions, so nothing
@@ -77,7 +77,7 @@ void bump_frame(std::uint64_t size) {
     auto* grown = static_cast<FrameAlloc*>(
         std::realloc(t.data, next * sizeof(FrameAlloc)));
     if (grown == nullptr) return;  // attribution is best-effort
-    std::memset(grown + t.size, 0, (next - t.size) * sizeof(FrameAlloc));
+    std::fill(grown + t.size, grown + next, FrameAlloc{});
     t.data = grown;
     t.size = next;
   }
@@ -152,7 +152,7 @@ std::vector<FrameAlloc> frame_allocations() {
 
 void clear_frame_allocations() {
   FrameTable& t = t_frames;
-  if (t.data != nullptr) std::memset(t.data, 0, t.size * sizeof(FrameAlloc));
+  std::fill(t.data, t.data + t.size, FrameAlloc{});
 }
 
 namespace {

@@ -429,6 +429,53 @@ TEST(PbftReplica, DuplicateVotesDoNotFormAQuorum) {
   EXPECT_EQ(delivered, 1u);
 }
 
+TEST(PbftReplica, IgnoresHotStuffMessages) {
+  // HotStuff message types reach a PBFT replica only by mistake. Neither a
+  // leader's PROPOSAL (which carries a payload like a PRE-PREPARE) nor a
+  // COMMIT vote may send, arm a timer, open a slot or move the view.
+  sim::Simulator sim;
+  std::vector<PbftMessage> sent;
+  std::size_t delivered = 0;
+  PbftReplica::Config cfg;
+  cfg.replica_index = 1;
+  cfg.group_size = 4;
+  PbftReplica r{cfg, sim,
+                [&sent](std::uint32_t, const PbftMessage& msg) { sent.push_back(msg); },
+                [&delivered](std::uint64_t, const std::vector<std::uint8_t>&) {
+                  ++delivered;
+                }};
+  const auto message = [](PbftMessage::Type type, std::uint32_t sender,
+                          std::string_view body) {
+    PbftMessage msg;
+    msg.type = type;
+    msg.view = 0;
+    msg.sequence = 1;
+    msg.sender = sender;
+    msg.payload = payload(body);
+    msg.digest = payload_digest(msg.payload);
+    return msg;
+  };
+
+  r.on_message(message(PbftMessage::Type::kProposal, 0, "x"));
+  for (std::uint32_t sender : {0u, 2u, 3u}) {
+    r.on_message(message(PbftMessage::Type::kVoteCommit, sender, "x"));
+  }
+  EXPECT_TRUE(sent.empty());
+  EXPECT_EQ(sim.pending_events(), 0u) << "a slot timeout was armed";
+  EXPECT_EQ(r.view(), 0u);
+  EXPECT_TRUE(r.pending_view_change_views().empty());
+  EXPECT_EQ(r.next_execute(), 1u);
+  EXPECT_EQ(delivered, 0u);
+
+  // Slot 1 is still open: a PRE-PREPARE with another payload is accepted
+  // and answered with a PREPARE to each of the 3 peers.
+  r.on_message(message(PbftMessage::Type::kPrePrepare, 0, "y"));
+  EXPECT_EQ(sent.size(), 3u);
+  EXPECT_TRUE(std::all_of(sent.begin(), sent.end(), [](const PbftMessage& msg) {
+    return msg.type == PbftMessage::Type::kPrepare;
+  }));
+}
+
 TEST(PbftMessage, WireSizeAccounting) {
   PbftMessage msg;
   msg.payload = payload("12345");

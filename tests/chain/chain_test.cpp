@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "curb/chain/block.hpp"
 #include "curb/chain/transaction.hpp"
@@ -44,6 +46,43 @@ TEST(Transaction, IdStableUnderSigning) {
 TEST(Transaction, IdDiffersByContent) {
   EXPECT_NE(make_tx(1).id(), make_tx(2).id());
   EXPECT_NE(make_tx(1, RequestType::kPacketIn).id(), make_tx(1, RequestType::kReassign).id());
+}
+
+TEST(Transaction, DecodedIdHashesTheSigningBytes) {
+  // A decoded transaction takes its id from the wire prefix it was read
+  // from, which must be exactly its signing bytes: signed or not, and for
+  // any config size.
+  const auto key = crypto::KeyPair::from_seed("leader");
+  std::vector<std::uint8_t> kib(1024);
+  for (std::size_t i = 0; i < kib.size(); ++i) kib[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  Transaction signed_tx = make_tx(2);
+  signed_tx.sign(key);
+  const std::vector<Transaction> cases{
+      make_tx(1),
+      signed_tx,
+      Transaction{RequestType::kPolicyUpdate, 0xffffffff, 4, 3, {}},
+      Transaction{RequestType::kReassign, 5, 6, 4, kib},
+  };
+  for (const Transaction& tx : cases) {
+    const Transaction decoded = Transaction::deserialize(tx.serialize());
+    const auto signing = decoded.signing_bytes();
+    EXPECT_EQ(decoded.id(), crypto::Sha256::digest(std::span<const std::uint8_t>{signing}))
+        << "request " << tx.request_id();
+    EXPECT_EQ(decoded.id(), tx.id()) << "request " << tx.request_id();
+  }
+}
+
+TEST(Transaction, DecodedIdCoversEveryConfigByte) {
+  const Transaction tx{RequestType::kPacketIn, 3, 7, 1, {0x10, 0x20, 0x30, 0x40}};
+  auto bytes = tx.serialize();
+  const std::size_t last_config_byte = 1 + 4 + 4 + 8 + 4 + 3;
+  ASSERT_EQ(bytes[last_config_byte], 0x40);
+  bytes[last_config_byte] ^= 0x01;
+  const Transaction flipped = Transaction::deserialize(bytes);
+  EXPECT_EQ(flipped.config().back(), 0x41);
+  EXPECT_NE(flipped.id(), tx.id());
+  const auto signing = flipped.signing_bytes();
+  EXPECT_EQ(flipped.id(), crypto::Sha256::digest(std::span<const std::uint8_t>{signing}));
 }
 
 TEST(Transaction, VerifyFailsWrongKeyOrUnsigned) {
@@ -154,6 +193,26 @@ TEST(Blockchain, RejectsDuplicateTransactionAcrossBlocks) {
   EXPECT_EQ(chain.append(Block::create(1, chain.tip().hash(), {tx}, 0, 0)), std::nullopt);
   EXPECT_EQ(chain.append(Block::create(2, chain.tip().hash(), {tx}, 0, 0)),
             AppendError::kDuplicateTransaction);
+}
+
+TEST(Blockchain, DuplicateLeavesNoIndexEntryOfTheRejectedBlock) {
+  // A duplicate rejects the whole block, whether it repeats a transaction of
+  // the chain or of the block itself, and the index keeps none of the
+  // rejected block's transactions.
+  Blockchain chain{make_genesis()};
+  const Transaction tx1 = make_tx(1);
+  const Transaction tx2 = make_tx(2);
+  const Transaction tx3 = make_tx(3);
+  EXPECT_EQ(chain.append(Block::create(1, chain.tip().hash(), {tx1, tx2, tx1}, 0, 0)),
+            AppendError::kDuplicateTransaction);
+  EXPECT_EQ(chain.total_transactions(), 0u);
+  EXPECT_FALSE(chain.contains_transaction(tx2.id()));
+  EXPECT_EQ(chain.append(Block::create(1, chain.tip().hash(), {tx1, tx2}, 0, 0)), std::nullopt);
+  EXPECT_EQ(chain.append(Block::create(2, chain.tip().hash(), {tx3, tx2}, 0, 0)),
+            AppendError::kDuplicateTransaction);
+  EXPECT_EQ(chain.total_transactions(), 2u);
+  EXPECT_FALSE(chain.contains_transaction(tx3.id()));
+  EXPECT_EQ(chain.find_transaction(tx2.id()), 1u);
 }
 
 TEST(Blockchain, TransactionIndexLookup) {

@@ -6,7 +6,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <variant>
+#include <vector>
 
+#include "curb/core/codec.hpp"
 #include "curb/core/simulation.hpp"
 #include "curb/crypto/sha256.hpp"
 #include "curb/crypto/sigcache.hpp"
@@ -727,12 +730,11 @@ TEST(CurbIntegration, CorruptFinalAgreeNeverCommitsBadSignatures) {
 }
 
 TEST(CurbIntegration, AtMostTwoMerkleBuildsPerAppliedBlock) {
-  // A controller rebuilds a block's Merkle tree once for the first
-  // FINAL-AGREE copy it validates and once more in Blockchain::append. The
-  // other copies toward the f+1 quorum are byte-identical to the validated
-  // one and are counted unchecked, and copies arriving after the block is
-  // applied are recognised from the header alone. The proposer also builds
-  // the tree once in Block::create.
+  // The network decodes and Merkle-checks each distinct FINAL-AGREE copy
+  // once for all its controllers (CurbNetwork::validated_block), and each
+  // controller rebuilds the tree once more in Blockchain::append. Copies
+  // arriving after the block is applied are recognised from the header
+  // alone. The proposer also builds the tree once in Block::create.
   CurbOptions opts = test_options();
   opts.controller_capacity = 8.0;
   opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
@@ -744,13 +746,127 @@ TEST(CurbIntegration, AtMostTwoMerkleBuildsPerAppliedBlock) {
   }
   std::uint64_t heights = 0;
   std::uint64_t proposed = 0;
+  std::set<crypto::Hash256> distinct;
   for (std::uint32_t c = 0; c < sim.network().num_controllers(); ++c) {
-    heights += sim.network().controller(c).blockchain().height();
+    const chain::Blockchain& chain = sim.network().controller(c).blockchain();
+    heights += chain.height();
     proposed += sim.network().controller(c).stats().blocks_proposed;
+    for (std::uint64_t h = 1; h <= chain.height(); ++h) distinct.insert(chain.at(h).hash());
   }
   ASSERT_GT(heights, 0u);
-  EXPECT_LE(profiler.calls("crypto.merkle_build"), 2 * heights + proposed)
-      << "sum of chain heights " << heights << ", blocks proposed " << proposed;
+  EXPECT_LE(profiler.calls("crypto.merkle_build"), heights + distinct.size() + proposed)
+      << "sum of chain heights " << heights << ", distinct blocks " << distinct.size()
+      << ", blocks proposed " << proposed;
+}
+
+TEST(CurbIntegration, ControllersShareOneCopyOfEachBlock) {
+  // Every chain stores the block object the network decoded, so after a
+  // fault-free run all controllers hold the same object at every height.
+  CurbOptions opts = test_options();
+  opts.controller_capacity = 8.0;
+  opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+  CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+  (void)sim.run_packet_in_rounds(3);
+  ASSERT_TRUE(sim.chains_consistent());
+  const CurbNetwork& network = sim.network();
+  const chain::Blockchain& first = network.controller(0).blockchain();
+  ASSERT_GT(first.height(), 0u);
+  for (std::uint32_t c = 1; c < network.num_controllers(); ++c) {
+    for (std::uint64_t h = 0; h <= first.height(); ++h) {
+      EXPECT_EQ(&network.controller(c).blockchain().at(h), &first.at(h))
+          << "controller " << c << ", height " << h;
+    }
+  }
+}
+
+TEST(CurbIntegration, UndecodableConfirmedTxListIsNeverSealedNorForwarded) {
+  // A txList confirmed by an AGREE quorum is decoded once, at quorum. One
+  // that does not decode must not stop the final leader from sealing the
+  // others, and is never sealed itself. The next applied block drops it
+  // before the committee handover that block may trigger, so the handover
+  // forwards only the decodable backlog.
+  CurbOptions opts = test_options();
+  opts.controller_capacity = 8.0;
+  opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+  CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+  CurbNetwork& network = sim.network();
+  const AssignmentState& genesis = network.genesis_state();
+  ASSERT_EQ(genesis.f(), 1u);  // quorums of f+1 = 2
+  const std::vector<std::uint32_t> committee = genesis.final_committee();
+  const std::uint32_t leader = genesis.final_leader();
+  const std::uint32_t member = committee.front();
+  ASSERT_NE(member, leader);
+
+  const GroupInfo& group = genesis.group(0);
+  ASSERT_GE(group.members.size(), 2u);
+  const std::uint32_t instance = AssignmentState::instance_id_of(group.members);
+  const chain::Transaction tx{chain::RequestType::kPacketIn, group.switches.front(),
+                              group.members.front(), 1, {0x01, 0x02}};
+  const std::vector<std::uint8_t> decodable = serialize_tx_list({tx});
+  const std::vector<std::uint8_t> undecodable{0xff, 0xff, 0xff, 0x7f};  // count too large
+  ASSERT_THROW((void)deserialize_tx_list(undecodable), std::invalid_argument);
+
+  // The leader's Final-PBFT proposals and the member's AGREEs.
+  std::vector<std::vector<std::uint8_t>> proposals;
+  std::vector<std::vector<std::uint8_t>> forwarded;
+  network.bus().set_send_observer([&](const auto& record, const CurbMessage& msg,
+                                      const std::string&) {
+    const auto* envelope = std::get_if<PbftEnvelope>(&msg);
+    if (record.from == network.controller_topo_node(leader) && envelope != nullptr &&
+        envelope->instance == PbftEnvelope::kFinalInstance &&
+        envelope->message.type == bft::PbftMessage::Type::kPrePrepare) {
+      proposals.push_back(envelope->message.payload);
+    }
+    const auto* agree = std::get_if<AgreeMsg>(&msg);
+    if (record.from == network.controller_topo_node(member) && agree != nullptr) {
+      forwarded.push_back(agree->tx_list);
+    }
+  });
+  const auto confirm = [&](std::uint32_t to, const std::vector<std::uint8_t>& tx_list) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      const std::uint32_t sender = group.members[i];
+      network.controller(to).on_message(network.controller_topo_node(sender),
+                                        CurbMessage{AgreeMsg{instance, sender, tx_list}});
+    }
+  };
+
+  confirm(leader, undecodable);
+  EXPECT_EQ(network.controller(leader).stats().blocks_proposed, 0u);
+  confirm(leader, decodable);
+  EXPECT_EQ(network.controller(leader).stats().blocks_proposed, 1u);
+  ASSERT_FALSE(proposals.empty());
+  for (const auto& proposal : proposals) {
+    EXPECT_EQ(chain::Block::deserialize(proposal).transactions(),
+              std::vector<chain::Transaction>{tx});
+  }
+
+  // Block 1 moves every switch to controllers 4-7, which changes the final
+  // committee: the member hands its backlog over when it applies the block.
+  opt::Assignment moved{genesis.assignment().num_switches(),
+                        genesis.assignment().num_controllers()};
+  for (std::size_t sw = 0; sw < moved.num_switches(); ++sw) {
+    for (std::size_t c = 4; c < 8; ++c) moved.set(sw, c, true);
+  }
+  const AssignmentState next = AssignmentState::build(moved, genesis.f(), 1, {}, &genesis);
+  ASSERT_NE(next.final_committee(), committee);
+  const chain::Transaction reassign{chain::RequestType::kReassign, group.switches.front(),
+                                    leader, 2, next.serialize()};
+  const chain::Block block = chain::Block::create(
+      1, network.genesis_block().hash(), {reassign}, 0, leader);
+  confirm(member, undecodable);
+  confirm(member, decodable);
+  ASSERT_TRUE(forwarded.empty());
+  for (std::size_t i = 1; i <= 2; ++i) {
+    network.controller(member).on_message(
+        network.controller_topo_node(committee[i]),
+        CurbMessage{FinalAgreeMsg{committee[i], block.serialize()}});
+  }
+  ASSERT_EQ(network.controller(member).blockchain().height(), 1u);
+  const auto& incoming = next.final_committee();
+  EXPECT_EQ(forwarded.size(),
+            incoming.size() - static_cast<std::size_t>(std::count(incoming.begin(),
+                                                                  incoming.end(), member)));
+  for (const auto& tx_list : forwarded) EXPECT_EQ(tx_list, decodable);
 }
 
 TEST(CurbIntegration, FinalAgreeReusesOnlyByteIdenticalCopies) {

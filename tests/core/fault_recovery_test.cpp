@@ -135,6 +135,28 @@ TEST(ControllerRecovery, CrashedControllerRecoversFromDonorChain) {
   EXPECT_EQ(donor.at(common).hash(), revived.at(common).hash());
 }
 
+TEST(ControllerRecovery, RestartedControllerSharesTheDonorsBlocksAndCatchesUp) {
+  CurbSimulation sim = small_sim();
+  CurbNetwork& network = sim.network();
+  (void)sim.run_packet_in_round();
+  network.controller(1).crash();
+  (void)sim.run_packet_in_round();
+
+  // Recovery appends the donor's block objects (each still checked) instead
+  // of copies.
+  const chain::Blockchain& donor = network.controller(0).blockchain();
+  network.controller(1).restart_from(donor);
+  const chain::Blockchain& revived = network.controller(1).blockchain();
+  ASSERT_EQ(revived.height(), donor.height());
+  for (std::uint64_t h = 0; h <= donor.height(); ++h) {
+    EXPECT_EQ(&revived.at(h), &donor.at(h)) << "height " << h;
+  }
+
+  const RoundMetrics after = sim.run_packet_in_round();
+  EXPECT_EQ(after.accepted, after.issued);
+  EXPECT_TRUE(sim.chains_consistent());
+}
+
 TEST(ControllerRecovery, CrashedControllerIgnoresTraffic) {
   CurbSimulation sim = small_sim();
   CurbNetwork& network = sim.network();

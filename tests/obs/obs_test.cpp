@@ -334,7 +334,9 @@ TEST(Export, SpansJsonlRoundTrip) {
     EXPECT_EQ(parsed[i].start, spans[i].start);
     EXPECT_EQ(parsed[i].open, spans[i].open);
     EXPECT_EQ(parsed[i].attrs, spans[i].attrs);
-    if (!spans[i].open) EXPECT_EQ(parsed[i].end, spans[i].end);
+    if (!spans[i].open) {
+      EXPECT_EQ(parsed[i].end, spans[i].end);
+    }
   }
 }
 
