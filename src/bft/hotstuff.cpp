@@ -1,125 +1,14 @@
 #include "curb/bft/hotstuff.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "curb/prof/profiler.hpp"
-
 namespace curb::bft {
 
 HotstuffReplica::HotstuffReplica(Config config, sim::Simulator& sim, SendFn send,
                                  DeliverFn deliver)
-    : config_{config},
-      sim_{sim},
-      send_{std::move(send)},
-      deliver_{std::move(deliver)},
-      view_{config.initial_view},
-      rng_{0x4f75c0de ^ config.replica_index} {
-  if (config_.group_size < 4) {
-    throw std::invalid_argument{"HotstuffReplica: group size must be >= 4 (3f+1)"};
-  }
-  if (config_.replica_index >= config_.group_size) {
-    throw std::invalid_argument{"HotstuffReplica: replica index out of range"};
-  }
-}
+    : ConsensusReplica{std::move(config), sim, std::move(send), std::move(deliver),
+                       PbftMessage::Type::kProposal, Phase::kPreCommitted,
+                       "bft.hotstuff_msg"} {}
 
-HotstuffReplica::~HotstuffReplica() {
-  for (auto& [seq, s] : slots_) sim_.cancel(s.timeout);
-}
-
-std::uint64_t HotstuffReplica::propose(std::vector<std::uint8_t> payload) {
-  if (!is_leader()) throw std::logic_error{"HotstuffReplica: propose() on non-leader"};
-  const std::uint64_t seq = next_seq_++;
-
-  PbftMessage msg;
-  msg.type = PbftMessage::Type::kProposal;
-  msg.view = view_;
-  msg.sequence = seq;
-  msg.sender = config_.replica_index;
-
-  if (config_.behavior == Behavior::kEquivocate) {
-    std::vector<std::uint8_t> corrupted = payload;
-    if (!corrupted.empty()) corrupted[0] ^= 0xff;
-    corrupted.push_back(0xee);
-    for (std::uint32_t dest = 0; dest < config_.group_size; ++dest) {
-      if (dest == config_.replica_index) continue;
-      PbftMessage variant = msg;
-      variant.payload = (dest % 2 == 0) ? payload : corrupted;
-      variant.digest = payload_digest(variant.payload);
-      send_to(dest, std::move(variant));
-    }
-    return seq;
-  }
-
-  msg.payload = std::move(payload);
-  msg.digest = payload_digest(msg.payload);
-
-  auto& s = slot(seq);
-  s.digest = msg.digest;
-  s.payload = msg.payload;
-  s.prepare_votes.insert(config_.replica_index);  // the leader's own vote
-  arm_timeout(seq);
-  broadcast(msg);
-  return seq;
-}
-
-void HotstuffReplica::send_to(std::uint32_t dest, PbftMessage msg) {
-  switch (config_.behavior) {
-    case Behavior::kSilent:
-      return;
-    case Behavior::kLazy: {
-      sim_.schedule(config_.lazy_delay,
-                    [send = send_, dest, msg = std::move(msg)] { send(dest, msg); });
-      return;
-    }
-    case Behavior::kEquivocate:
-      if (msg.type == PbftMessage::Type::kVotePrepare ||
-          msg.type == PbftMessage::Type::kVotePreCommit ||
-          msg.type == PbftMessage::Type::kVoteCommit) {
-        msg.digest[0] ^= 0xff;  // vote for a digest nobody proposed
-      }
-      break;
-    case Behavior::kSelectiveSilent:
-      if (dest % 2 == 0) return;  // withhold from even-indexed peers only
-      break;
-    case Behavior::kStaleViewSpam:  // spam happens at the controller layer
-    case Behavior::kHonest:
-      break;
-  }
-  send_(dest, msg);
-}
-
-void HotstuffReplica::broadcast(const PbftMessage& msg) {
-  for (std::uint32_t dest = 0; dest < config_.group_size; ++dest) {
-    if (dest == config_.replica_index) continue;
-    send_to(dest, msg);
-  }
-}
-
-void HotstuffReplica::vote_to_leader(PbftMessage::Type type, std::uint64_t sequence,
-                                     const crypto::Hash256& digest) {
-  PbftMessage vote;
-  vote.type = type;
-  vote.view = view_;
-  vote.sequence = sequence;
-  vote.digest = digest;
-  vote.sender = config_.replica_index;
-  send_to(leader_index(), std::move(vote));
-}
-
-bool HotstuffReplica::qc_valid(const PbftMessage& msg) const {
-  // A QC must name >= 2f+1 distinct in-range voters. (A deployment would
-  // verify a threshold signature here; the simulation checks structure.)
-  std::set<std::uint32_t> distinct;
-  for (const std::uint32_t v : msg.qc_voters) {
-    if (v < config_.group_size) distinct.insert(v);
-  }
-  return distinct.size() >= quorum();
-}
-
-void HotstuffReplica::on_message(const PbftMessage& msg) {
-  const prof::Scope scope{"bft.hotstuff_msg"};
-  if (msg.sender >= config_.group_size || msg.sender == config_.replica_index) return;
+void HotstuffReplica::handle(const PbftMessage& msg) {
   switch (msg.type) {
     case PbftMessage::Type::kProposal: handle_proposal(msg); break;
     case PbftMessage::Type::kVotePrepare:
@@ -128,251 +17,99 @@ void HotstuffReplica::on_message(const PbftMessage& msg) {
     case PbftMessage::Type::kQcPrepare:
     case PbftMessage::Type::kQcPreCommit:
     case PbftMessage::Type::kQcCommit: handle_qc(msg); break;
-    case PbftMessage::Type::kViewChange: handle_view_change(msg); break;
-    case PbftMessage::Type::kNewView: handle_new_view(msg); break;
     default: break;  // PBFT traffic: not ours
   }
 }
 
+void HotstuffReplica::vote_to_leader(PbftMessage::Type type, std::uint64_t sequence,
+                                     const crypto::Hash256& digest) {
+  send_to(leader_index(), vote(type, sequence, digest));
+}
+
+bool HotstuffReplica::qc_valid(const PbftMessage& msg) const {
+  // A QC must name >= 2f+1 distinct in-range voters. (A deployment would
+  // verify a threshold signature here; the simulation checks structure.)
+  VoteSet distinct;
+  for (const std::uint32_t v : msg.qc_voters) {
+    if (v < config_.group_size) distinct.insert(v);
+  }
+  return distinct.size() >= quorum();
+}
+
 void HotstuffReplica::handle_proposal(const PbftMessage& msg) {
-  if (msg.view != view_ || msg.sender != leader_index()) return;
-  if (payload_digest(msg.payload) != msg.digest) return;
-  if (config_.validate_payload && !config_.validate_payload(msg.payload)) return;
-  auto& s = slot(msg.sequence);
-  if (s.digest && *s.digest != msg.digest) return;  // equivocation: refuse
-  if (s.executed) return;
-  const bool fresh = !s.digest.has_value();
-  s.digest = msg.digest;
-  s.payload = msg.payload;
-  if (fresh) arm_timeout(msg.sequence);
+  if (accept_proposal(msg) == nullptr) return;
   vote_to_leader(PbftMessage::Type::kVotePrepare, msg.sequence, msg.digest);
 }
 
 void HotstuffReplica::handle_vote(const PbftMessage& msg) {
   // Votes flow to the current leader only.
-  if (!is_leader() || msg.view != view_) return;
+  if (!is_leader() || msg.view != view()) return;
   auto& s = slot(msg.sequence);
   if (!s.digest || *s.digest != msg.digest) return;
 
-  auto emit_qc = [&](PbftMessage::Type qc_type, const std::set<std::uint32_t>& votes) {
-    PbftMessage qc;
-    qc.type = qc_type;
-    qc.view = view_;
-    qc.sequence = msg.sequence;
-    qc.digest = *s.digest;
-    qc.sender = config_.replica_index;
-    qc.qc_voters.assign(votes.begin(), votes.end());
+  // Each vote phase yields one QC, sent while the slot is still in the
+  // phase the QC ends.
+  const auto count = [&](VoteSet& votes, Phase before, PbftMessage::Type qc_type) {
+    votes.insert(msg.sender);
+    if (s.phase != before || votes.size() < quorum()) return;
+    PbftMessage qc = vote(qc_type, msg.sequence, *s.digest);
+    qc.qc_voters = votes.voters();
     broadcast(qc);
     handle_qc(qc);  // the leader processes its own QC locally
   };
-
   switch (msg.type) {
-    case PbftMessage::Type::kVotePrepare: {
-      s.prepare_votes.insert(msg.sender);
-      if (s.phase == Phase::kIdle && s.prepare_votes.size() >= quorum()) {
-        emit_qc(PbftMessage::Type::kQcPrepare, s.prepare_votes);
-      }
+    case PbftMessage::Type::kVotePrepare:
+      count(s.prepares, Phase::kIdle, PbftMessage::Type::kQcPrepare);
       break;
-    }
-    case PbftMessage::Type::kVotePreCommit: {
-      s.precommit_votes.insert(msg.sender);
-      if (s.phase == Phase::kPrepared && s.precommit_votes.size() >= quorum()) {
-        emit_qc(PbftMessage::Type::kQcPreCommit, s.precommit_votes);
-      }
+    case PbftMessage::Type::kVotePreCommit:
+      count(s.precommits, Phase::kPrepared, PbftMessage::Type::kQcPreCommit);
       break;
-    }
-    case PbftMessage::Type::kVoteCommit: {
-      s.commit_votes.insert(msg.sender);
-      if (s.phase == Phase::kPreCommitted && s.commit_votes.size() >= quorum()) {
-        emit_qc(PbftMessage::Type::kQcCommit, s.commit_votes);
-      }
+    case PbftMessage::Type::kVoteCommit:
+      count(s.commits, Phase::kPreCommitted, PbftMessage::Type::kQcCommit);
       break;
-    }
     default:
       break;
   }
 }
 
 void HotstuffReplica::handle_qc(const PbftMessage& msg) {
-  if (msg.view != view_) return;
-  if (!qc_valid(msg)) return;
+  if (msg.view != view() || !qc_valid(msg)) return;
   auto& s = slot(msg.sequence);
   if (!s.digest) {
     // QC for a proposal this replica never saw (e.g. joined late): adopt the
     // digest; the payload will arrive via NEW-VIEW re-proposals if needed.
     s.digest = msg.digest;
+    obs_slot_accepted(msg.sequence, s);
   }
   if (*s.digest != msg.digest) return;
 
   switch (msg.type) {
     case PbftMessage::Type::kQcPrepare:
-      if (s.phase == Phase::kIdle) {
-        s.phase = Phase::kPrepared;
-        if (is_leader()) {
-          s.precommit_votes.insert(config_.replica_index);
-        } else {
-          vote_to_leader(PbftMessage::Type::kVotePreCommit, msg.sequence, msg.digest);
-        }
+      if (s.phase != Phase::kIdle) break;
+      s.phase = Phase::kPrepared;
+      obs_slot_prepared(s);
+      if (is_leader()) {
+        s.precommits.insert(config_.replica_index);
+      } else {
+        vote_to_leader(PbftMessage::Type::kVotePreCommit, msg.sequence, msg.digest);
       }
       break;
     case PbftMessage::Type::kQcPreCommit:
-      if (s.phase == Phase::kPrepared) {
-        s.phase = Phase::kPreCommitted;
-        if (is_leader()) {
-          s.commit_votes.insert(config_.replica_index);
-        } else {
-          vote_to_leader(PbftMessage::Type::kVoteCommit, msg.sequence, msg.digest);
-        }
+      if (s.phase != Phase::kPrepared) break;
+      s.phase = Phase::kPreCommitted;
+      if (is_leader()) {
+        s.commits.insert(config_.replica_index);
+      } else {
+        vote_to_leader(PbftMessage::Type::kVoteCommit, msg.sequence, msg.digest);
       }
       break;
     case PbftMessage::Type::kQcCommit:
-      if (s.phase != Phase::kCommitted) {
-        s.phase = Phase::kCommitted;
-        sim_.cancel(s.timeout);
-        try_execute();
-      }
+      if (s.phase == Phase::kCommitted) break;
+      if (s.phase == Phase::kIdle) obs_slot_prepared(s);  // it overtook the prepare QC
+      commit(s);
       break;
     default:
       break;
-  }
-}
-
-void HotstuffReplica::try_execute() {
-  for (;;) {
-    const auto it = slots_.find(next_exec_);
-    if (it == slots_.end() || it->second.phase != Phase::kCommitted ||
-        it->second.executed) {
-      break;
-    }
-    it->second.executed = true;
-    deliver_(next_exec_, it->second.payload);
-    ++next_exec_;
-  }
-  if (config_.gc_window > 0 && next_exec_ > config_.gc_window) {
-    const std::uint64_t horizon = next_exec_ - config_.gc_window;
-    for (auto it2 = slots_.begin(); it2 != slots_.end() && it2->first < horizon;) {
-      if (!it2->second.executed) break;
-      sim_.cancel(it2->second.timeout);
-      it2 = slots_.erase(it2);
-    }
-  }
-}
-
-void HotstuffReplica::arm_timeout(std::uint64_t sequence) {
-  auto& s = slot(sequence);
-  s.timeout = sim_.schedule(config_.view_change_timeout, [this, sequence] {
-    const auto it = slots_.find(sequence);
-    if (it == slots_.end() || it->second.phase == Phase::kCommitted) return;
-    start_view_change();
-  });
-}
-
-void HotstuffReplica::start_view_change() {
-  if (view_change_in_progress_) return;
-  view_change_in_progress_ = true;
-
-  PbftMessage msg;
-  msg.type = PbftMessage::Type::kViewChange;
-  msg.view = view_ + 1;
-  msg.sender = config_.replica_index;
-  for (const auto& [seq, s] : slots_) {
-    // Locked entries: anything at pre-commit or beyond must survive.
-    if ((s.phase == Phase::kPreCommitted || s.phase == Phase::kCommitted) &&
-        !s.executed && s.digest) {
-      msg.prepared.push_back({seq, *s.digest, s.payload});
-    }
-  }
-  view_change_votes_[msg.view][config_.replica_index] = msg.prepared;
-  broadcast(msg);
-  handle_view_change_quorum(msg.view);
-}
-
-void HotstuffReplica::handle_view_change(const PbftMessage& msg) {
-  if (msg.view <= view_) return;
-  view_change_votes_[msg.view][msg.sender] = msg.prepared;
-  if (!view_change_in_progress_ && view_change_votes_[msg.view].size() >= f() + 1 &&
-      !view_change_votes_[msg.view].contains(config_.replica_index)) {
-    view_change_in_progress_ = true;
-    PbftMessage own;
-    own.type = PbftMessage::Type::kViewChange;
-    own.view = msg.view;
-    own.sender = config_.replica_index;
-    for (const auto& [seq, s] : slots_) {
-      if ((s.phase == Phase::kPreCommitted || s.phase == Phase::kCommitted) &&
-          !s.executed && s.digest) {
-        own.prepared.push_back({seq, *s.digest, s.payload});
-      }
-    }
-    view_change_votes_[msg.view][config_.replica_index] = own.prepared;
-    broadcast(own);
-  }
-  handle_view_change_quorum(msg.view);
-}
-
-void HotstuffReplica::handle_view_change_quorum(std::uint64_t candidate_view) {
-  const auto it = view_change_votes_.find(candidate_view);
-  if (it == view_change_votes_.end() || it->second.size() < quorum()) return;
-  const auto new_leader = static_cast<std::uint32_t>(candidate_view % config_.group_size);
-  if (new_leader != config_.replica_index || candidate_view <= view_) return;
-
-  PbftMessage new_view;
-  new_view.type = PbftMessage::Type::kNewView;
-  new_view.view = candidate_view;
-  new_view.sender = config_.replica_index;
-  std::map<std::uint64_t, PbftMessage::PreparedEntry> merged;
-  for (const auto& [replica, entries] : it->second) {
-    for (const auto& e : entries) merged.emplace(e.sequence, e);
-  }
-  for (const auto& [seq, e] : merged) new_view.prepared.push_back(e);
-  broadcast(new_view);
-  adopt_new_view(candidate_view, new_view.prepared);
-}
-
-void HotstuffReplica::handle_new_view(const PbftMessage& msg) {
-  if (msg.view <= view_) return;
-  const auto expected = static_cast<std::uint32_t>(msg.view % config_.group_size);
-  if (msg.sender != expected) return;
-  adopt_new_view(msg.view, msg.prepared);
-}
-
-void HotstuffReplica::adopt_new_view(
-    std::uint64_t new_view, const std::vector<PbftMessage::PreparedEntry>& prepared) {
-  view_ = new_view;
-  view_change_in_progress_ = false;
-  std::uint64_t max_seq = next_exec_ - 1;
-  for (auto& [seq, s] : slots_) {
-    max_seq = std::max(max_seq, seq);
-    if (s.executed) continue;
-    sim_.cancel(s.timeout);
-    s.phase = Phase::kIdle;
-    s.prepare_votes.clear();
-    s.precommit_votes.clear();
-    s.commit_votes.clear();
-    s.digest.reset();
-    s.payload.clear();
-  }
-  next_seq_ = std::max(next_seq_, max_seq + 1);
-  if (on_view_change_) on_view_change_(new_view);
-
-  if (is_leader()) {
-    for (const auto& e : prepared) {
-      const auto it = slots_.find(e.sequence);
-      if (it != slots_.end() && it->second.executed) continue;
-      PbftMessage msg;
-      msg.type = PbftMessage::Type::kProposal;
-      msg.view = view_;
-      msg.sequence = e.sequence;
-      msg.sender = config_.replica_index;
-      msg.payload = e.payload;
-      msg.digest = payload_digest(msg.payload);
-
-      auto& s = slot(e.sequence);
-      s.digest = msg.digest;
-      s.payload = msg.payload;
-      s.prepare_votes.insert(config_.replica_index);
-      arm_timeout(e.sequence);
-      broadcast(msg);
-    }
   }
 }
 

@@ -1,10 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <set>
-#include <vector>
 
 #include "curb/bft/consensus.hpp"
 #include "curb/bft/message.hpp"
@@ -19,87 +15,22 @@ namespace curb::bft {
 /// — the linear-communication property HotStuff is known for. QCs carry
 /// voter-id lists in place of threshold signatures (simulation substitute).
 ///
-/// View change reuses the PBFT-style mechanism (timeout -> VIEW-CHANGE with
-/// locked entries -> NEW-VIEW from the next leader); it is the rare path
-/// and its cost does not affect the per-decision complexity.
+/// View change is the shared replica core's (timeout -> VIEW-CHANGE with
+/// locked entries -> NEW-VIEW from the next leader); a slot is locked once
+/// pre-committed. It is the rare path and its cost does not affect the
+/// per-decision complexity.
 class HotstuffReplica final : public ConsensusReplica {
  public:
-  using Config = ReplicaConfig;
-
   HotstuffReplica(Config config, sim::Simulator& sim, SendFn send, DeliverFn deliver);
-  ~HotstuffReplica() override;
-
-  HotstuffReplica(const HotstuffReplica&) = delete;
-  HotstuffReplica& operator=(const HotstuffReplica&) = delete;
-
-  std::uint64_t propose(std::vector<std::uint8_t> payload) override;
-  void on_message(const PbftMessage& msg) override;
-  void force_view_change() override { start_view_change(); }
-
-  [[nodiscard]] std::uint64_t view() const override { return view_; }
-  [[nodiscard]] std::uint32_t leader_index() const override {
-    return static_cast<std::uint32_t>(view_ % config_.group_size);
-  }
-  [[nodiscard]] bool is_leader() const override {
-    return leader_index() == config_.replica_index;
-  }
-  [[nodiscard]] std::uint32_t index() const override { return config_.replica_index; }
-  [[nodiscard]] std::uint64_t next_execute() const override { return next_exec_; }
-  [[nodiscard]] std::size_t f() const { return (config_.group_size - 1) / 3; }
-
-  void set_behavior(Behavior b) override { config_.behavior = b; }
-  [[nodiscard]] Behavior behavior() const override { return config_.behavior; }
-  void set_on_view_change(ViewChangeFn fn) override { on_view_change_ = std::move(fn); }
 
  private:
-  enum class Phase : std::uint8_t { kIdle, kPrepared, kPreCommitted, kCommitted };
-
-  struct SlotState {
-    std::optional<crypto::Hash256> digest;
-    std::vector<std::uint8_t> payload;
-    Phase phase = Phase::kIdle;
-    bool executed = false;
-    // Leader-side vote aggregation per phase.
-    std::set<std::uint32_t> prepare_votes;
-    std::set<std::uint32_t> precommit_votes;
-    std::set<std::uint32_t> commit_votes;
-    sim::EventHandle timeout;
-  };
-
-  void send_to(std::uint32_t dest, PbftMessage msg);
-  void broadcast(const PbftMessage& msg);
+  void handle(const PbftMessage& msg) override;
   void vote_to_leader(PbftMessage::Type type, std::uint64_t sequence,
                       const crypto::Hash256& digest);
   [[nodiscard]] bool qc_valid(const PbftMessage& msg) const;
-
   void handle_proposal(const PbftMessage& msg);
   void handle_vote(const PbftMessage& msg);
   void handle_qc(const PbftMessage& msg);
-  void handle_view_change(const PbftMessage& msg);
-  void handle_view_change_quorum(std::uint64_t candidate_view);
-  void handle_new_view(const PbftMessage& msg);
-  void adopt_new_view(std::uint64_t new_view,
-                      const std::vector<PbftMessage::PreparedEntry>& prepared);
-  void try_execute();
-  void arm_timeout(std::uint64_t sequence);
-  void start_view_change();
-  [[nodiscard]] std::size_t quorum() const { return 2 * f() + 1; }
-  [[nodiscard]] SlotState& slot(std::uint64_t sequence) { return slots_[sequence]; }
-
-  Config config_;
-  sim::Simulator& sim_;
-  SendFn send_;
-  DeliverFn deliver_;
-  ViewChangeFn on_view_change_;
-
-  std::uint64_t view_;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t next_exec_ = 1;
-  std::map<std::uint64_t, SlotState> slots_;
-  std::map<std::uint64_t, std::map<std::uint32_t, std::vector<PbftMessage::PreparedEntry>>>
-      view_change_votes_;
-  bool view_change_in_progress_ = false;
-  sim::Rng rng_;
 };
 
 }  // namespace curb::bft

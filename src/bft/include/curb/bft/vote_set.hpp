@@ -9,7 +9,8 @@ namespace curb::bft {
 
 /// The distinct voters of one quorum, kept in a flat vector. A quorum has at
 /// most a group's worth of members, so a linear scan beats a tree node per
-/// vote. Only the count is exposed, so nothing can depend on vote order.
+/// vote. Decisions read only the count, so none depends on vote order; the
+/// voters themselves are read only to copy them into a HotStuff QC.
 class VoteSet {
  public:
   /// Records `voter`'s vote; a replayed vote never counts twice.
@@ -19,6 +20,7 @@ class VoteSet {
     }
   }
   [[nodiscard]] std::size_t size() const { return voters_.size(); }
+  [[nodiscard]] const std::vector<std::uint32_t>& voters() const { return voters_; }
   void clear() { voters_.clear(); }
 
  private:

@@ -75,14 +75,15 @@ class CurbSimulation {
   std::vector<RoundMetrics> run_packet_in_rounds(std::size_t n);
 
   [[nodiscard]] std::uint64_t total_messages() const;
-  /// True when every controller's chain tip matches controller 0's.
+  /// True when every live controller's chain tip matches the first live
+  /// controller's. Crashed controllers (no chain until recovery) are skipped.
   [[nodiscard]] bool chains_consistent() const;
   /// Safety-only variant for faulted/degraded runs: live chains may lag
   /// (messages still in flight when the run stops) but must never fork —
   /// every pair of chains agrees on the block at their common height.
   /// Crashed controllers (no chain until recovery) are skipped.
   [[nodiscard]] bool chains_prefix_consistent() const;
-  /// Height of controller 0's chain.
+  /// Height of the first live controller's chain; 0 if none is live.
   [[nodiscard]] std::uint64_t chain_height() const;
 
  private:

@@ -221,34 +221,40 @@ std::uint64_t CurbSimulation::total_messages() const {
   return network_->bus().stats().total_messages();
 }
 
-bool CurbSimulation::chains_consistent() const {
-  const auto& reference = network_->controller(0).blockchain();
-  for (std::uint32_t c = 1; c < network_->num_controllers(); ++c) {
-    if (!network_->controller(c).blockchain().same_view_as(reference)) return false;
+namespace {
+
+// The chains of the controllers that are up. A crashed controller has no
+// chain until it recovers, so every chain query skips it.
+std::vector<const chain::Blockchain*> live_chains(const CurbNetwork& network) {
+  std::vector<const chain::Blockchain*> chains;
+  for (std::uint32_t c = 0; c < network.num_controllers(); ++c) {
+    const Controller& ctrl = network.controller(c);
+    if (!ctrl.crashed() && ctrl.has_blockchain()) chains.push_back(&ctrl.blockchain());
   }
-  return true;
+  return chains;
+}
+
+}  // namespace
+
+bool CurbSimulation::chains_consistent() const {
+  const auto chains = live_chains(*network_);
+  return std::all_of(chains.begin(), chains.end(), [&](const chain::Blockchain* chain) {
+    return chain->same_view_as(*chains.front());
+  });
 }
 
 bool CurbSimulation::chains_prefix_consistent() const {
-  const chain::Blockchain* reference = nullptr;
-  for (std::uint32_t c = 0; c < network_->num_controllers(); ++c) {
-    const Controller& ctrl = network_->controller(c);
-    if (ctrl.crashed() || !ctrl.has_blockchain()) continue;
-    if (reference == nullptr) {
-      reference = &ctrl.blockchain();
-      continue;
-    }
-    const std::uint64_t common =
-        std::min(reference->height(), ctrl.blockchain().height());
-    if (ctrl.blockchain().at(common).hash() != reference->at(common).hash()) {
-      return false;
-    }
-  }
-  return true;
+  const auto chains = live_chains(*network_);
+  return std::all_of(chains.begin(), chains.end(), [&](const chain::Blockchain* chain) {
+    const chain::Blockchain& reference = *chains.front();
+    const std::uint64_t common = std::min(reference.height(), chain->height());
+    return chain->at(common).hash() == reference.at(common).hash();
+  });
 }
 
 std::uint64_t CurbSimulation::chain_height() const {
-  return network_->controller(0).blockchain().height();
+  const auto chains = live_chains(*network_);
+  return chains.empty() ? 0 : chains.front()->height();
 }
 
 }  // namespace curb::core

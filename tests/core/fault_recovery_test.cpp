@@ -172,5 +172,28 @@ TEST(ControllerRecovery, CrashedControllerIgnoresTraffic) {
   EXPECT_FALSE(network.controller(0).crashed());
 }
 
+TEST(CurbSimulation, ChainQueriesReadOnlyLiveControllers) {
+  // Controllers 0 and 1 crash for good (a `down=0` crash fault): the chain
+  // queries read the live controllers, never a crashed one's missing chain.
+  CurbSimulation sim = small_sim();
+  CurbNetwork& network = sim.network();
+  (void)sim.run_packet_in_round();
+  network.controller(0).crash();
+  network.controller(1).crash();
+  for (int round = 0; round < 3; ++round) (void)sim.run_packet_in_round();
+
+  const chain::Blockchain& first_live = network.controller(2).blockchain();
+  EXPECT_EQ(sim.chain_height(), first_live.height());
+  EXPECT_GT(sim.chain_height(), 0u);
+  EXPECT_TRUE(sim.chains_consistent());
+  EXPECT_TRUE(sim.chains_prefix_consistent());
+
+  // With every controller down there is no chain to read.
+  for (std::uint32_t c = 2; c < network.num_controllers(); ++c) network.controller(c).crash();
+  EXPECT_EQ(sim.chain_height(), 0u);
+  EXPECT_TRUE(sim.chains_consistent());
+  EXPECT_TRUE(sim.chains_prefix_consistent());
+}
+
 }  // namespace
 }  // namespace curb::core
