@@ -1,9 +1,11 @@
 // Primitive-level microbenchmarks (google-benchmark): the building blocks
-// whose costs shape every protocol number — hashing, signatures, Merkle
-// trees, the LP/MILP solver, one PBFT round, and raw simulator throughput.
+// whose costs shape every protocol number — hashing, signatures and their
+// modular inverses, Merkle trees, the LP/MILP solver, one PBFT round, and
+// raw simulator throughput.
 
 #include <benchmark/benchmark.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,40 @@ void BM_EcdsaKeygen(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcdsaKeygen);
+
+/// 64 seeded random nonzero values below `modulus`, the operands of the
+/// inverse rows (the inverse runs in variable time, so one operand would
+/// measure one path).
+std::vector<curb::crypto::U256> inverse_operands(const curb::crypto::U256& modulus) {
+  std::mt19937_64 rng{20261019};
+  std::vector<curb::crypto::U256> out;
+  while (out.size() < 64) {
+    const curb::crypto::U256 a =
+        curb::crypto::U256::reduce({rng(), rng(), rng(), rng()}, modulus);
+    if (!a.is_zero()) out.push_back(a);
+  }
+  return out;
+}
+
+void BM_FieldInverse(benchmark::State& state) {
+  const auto operands = inverse_operands(curb::crypto::secp256k1::field_prime());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curb::crypto::secp256k1::fe_inv(operands[i]));
+    i = (i + 1) % operands.size();
+  }
+}
+BENCHMARK(BM_FieldInverse);
+
+void BM_ScalarInverse(benchmark::State& state) {
+  const auto operands = inverse_operands(curb::crypto::secp256k1::group_order());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(curb::crypto::secp256k1::sc_inv(operands[i]));
+    i = (i + 1) % operands.size();
+  }
+}
+BENCHMARK(BM_ScalarInverse);
 
 void BM_MerkleRoot(benchmark::State& state) {
   std::vector<curb::crypto::Hash256> leaves;

@@ -295,8 +295,11 @@ void ConsensusReplica::adopt_new_view(std::uint64_t new_view,
                            view_change_votes_.upper_bound(new_view));
   obs_view_installed(new_view);
   // Reset per-slot voting state for unexecuted slots; re-run consensus on
-  // the carried-over entries in the new view.
+  // the carried-over entries in the new view. Fresh proposals start above
+  // every carried sequence, including those this replica holds no slot for:
+  // on_view_change_ may propose before the carried entries are re-proposed.
   std::uint64_t max_seq = next_exec_ - 1;
+  for (const auto& e : prepared) max_seq = std::max(max_seq, e.sequence);
   for (auto& [seq, s] : slots_) {
     max_seq = std::max(max_seq, seq);
     if (s.executed) continue;

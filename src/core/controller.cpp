@@ -135,7 +135,7 @@ void Controller::rebuild_replicas() {
     }
     if (options.verify_signatures) {
       cfg.validate_payload = [this](const std::vector<std::uint8_t>& payload) {
-        return verify_tx_list_payload(bft::payload_digest(payload), payload);
+        return network_.tx_list_signed(bft::payload_digest(payload), payload);
       };
     }
     auto replica = bft::make_replica(
@@ -202,7 +202,7 @@ void Controller::rebuild_replicas() {
         } catch (const std::exception&) {
           return false;  // truncated header
         }
-        return block != nullptr && verify_block_txs(bft::payload_digest(payload), *block);
+        return block != nullptr && network_.block_signed(bft::payload_digest(payload), *block);
       };
     }
     final_replica_ = bft::make_replica(
@@ -276,7 +276,6 @@ void Controller::crash() {
   final_replica_.reset();
   final_committee_cache_.clear();
   known_instances_.clear();
-  payload_verdicts_.clear();
   blockchain_.reset();
   request_buffer_.clear();
   reass_window_.clear();
@@ -416,55 +415,6 @@ void Controller::broadcast_to_controllers(
   const std::size_t bytes = wire_size(msg);
   const std::string category = category_of(msg);
   network_.bus().multicast(node_, dests, std::move(msg), bytes, category);
-}
-
-// --- transaction signature verification ---------------------------------------
-
-bool Controller::verify_tx_signature(const chain::Transaction& tx) const {
-  if (tx.controller_id() >= network_.num_controllers()) return false;
-  return tx.verify(network_.controller(tx.controller_id()).public_key());
-}
-
-void Controller::remember_verdict(const crypto::Hash256& key, bool ok) {
-  // Wholesale clear keeps the memo bounded without recency bookkeeping
-  // (which would be another host-order-dependence hazard).
-  constexpr std::size_t kMaxVerdicts = 8192;
-  if (payload_verdicts_.size() >= kMaxVerdicts) payload_verdicts_.clear();
-  payload_verdicts_[key] = ok;
-}
-
-bool Controller::verify_tx_list_payload(const crypto::Hash256& digest,
-                                        const std::vector<std::uint8_t>& payload) {
-  const auto memo = payload_verdicts_.find(digest);
-  if (memo != payload_verdicts_.end()) return memo->second;
-  bool ok = true;
-  try {
-    for (const chain::Transaction& tx : deserialize_tx_list(payload)) {
-      if (!verify_tx_signature(tx)) {
-        ok = false;
-        break;
-      }
-    }
-  } catch (const std::exception&) {
-    ok = false;  // undecodable txList can never carry valid signatures
-  }
-  remember_verdict(digest, ok);
-  return ok;
-}
-
-bool Controller::verify_block_txs(const crypto::Hash256& digest,
-                                  const chain::Block& block) {
-  const auto memo = payload_verdicts_.find(digest);
-  if (memo != payload_verdicts_.end()) return memo->second;
-  bool ok = true;
-  for (const chain::Transaction& tx : block.transactions()) {
-    if (!verify_tx_signature(tx)) {
-      ok = false;
-      break;
-    }
-  }
-  remember_verdict(digest, ok);
-  return ok;
 }
 
 bft::ConsensusReplica* Controller::replica_for(std::uint32_t instance) {
@@ -782,9 +732,9 @@ void Controller::on_agree(const AgreeMsg& agree) {
   }
   const auto digest = bft::payload_digest(agree.tx_list);
   // A vote only counts for a txList whose transaction signatures check out;
-  // the digest-keyed memo makes duplicate AGREEs for the same list free.
-  if (network_.options().verify_signatures &&
-      !verify_tx_list_payload(digest, agree.tx_list)) {
+  // the network's digest-keyed memo makes every AGREE after the first for
+  // the same list free, at every controller.
+  if (network_.options().verify_signatures && !network_.tx_list_signed(digest, agree.tx_list)) {
     return;
   }
   AgreeTally& tally = agree_votes_[AgreeKey{agree.instance, digest}];
@@ -878,12 +828,13 @@ void Controller::on_final_agree(const FinalAgreeMsg& msg) {
   // corrupted copy that keeps the header is checked on its own.
   std::shared_ptr<const chain::Block> block = network_.validated_block(hash, msg.block);
   if (block == nullptr) return;  // malformed, or the Merkle root does not match
-  // The signature check stays with each controller. Only a byte-identical
-  // copy is served the tally's block object, and it gets the same verdict.
+  // Only a byte-identical copy is served the tally's block object, and it
+  // gets the same verdict; any other copy is looked up in the network's
+  // signature memo by the digest of its bytes.
   auto tally = final_agree_votes_.find(hash);
   if (tally == final_agree_votes_.end() || tally->second.block != block) {
     if (network_.options().verify_signatures &&
-        !verify_block_txs(bft::payload_digest(msg.block), *block)) {
+        !network_.block_signed(bft::payload_digest(msg.block), *block)) {
       return;  // forged transaction inside the block: never vote for it
     }
     tally = final_agree_votes_.try_emplace(hash).first;

@@ -148,18 +148,6 @@ class Controller {
                                 CurbMessage msg);
   [[nodiscard]] bft::ConsensusReplica* replica_for(std::uint32_t instance);
 
-  // --- transaction signature verification (verify_signatures mode) ---
-  // Verdicts are memoized by the digest of the txList or block bytes on top
-  // of the process-wide crypto::SigCache, so duplicate AGREEs and the 3f+1
-  // replicas validating the same proposal pay for ECDSA once.
-  [[nodiscard]] bool verify_tx_signature(const chain::Transaction& tx) const;
-  [[nodiscard]] bool verify_tx_list_payload(const crypto::Hash256& digest,
-                                            const std::vector<std::uint8_t>& payload);
-  /// `digest` is bft::payload_digest of the bytes `block` was decoded from.
-  [[nodiscard]] bool verify_block_txs(const crypto::Hash256& digest,
-                                      const chain::Block& block);
-  void remember_verdict(const crypto::Hash256& key, bool ok);
-
   std::uint32_t id_;
   net::NodeId node_;
   crypto::KeyPair key_;
@@ -246,13 +234,6 @@ class Controller {
   /// serialized — two in-flight blocks would claim the same height and the
   /// loser's transactions would be dropped by every replica.
   bool final_proposal_in_flight_ = false;
-
-  /// Signature-verification verdicts memoized by the digest of the
-  /// serialized txList or block. Bounded by a wholesale clear. The key covers
-  /// every byte, signatures included, so a corrupted copy never shares a
-  /// verdict with the pristine one. (A block hash would not do: it commits
-  /// to transaction ids, and an id leaves out the signature.)
-  std::unordered_map<crypto::Hash256, bool, crypto::DigestHash> payload_verdicts_;
 
   /// FINAL-AGREE quorum tracking per block hash: the senders, and the block
   /// of the last copy that passed validation, as CurbNetwork::validated_block

@@ -8,6 +8,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "curb/core/assignment_state.hpp"
@@ -114,6 +115,19 @@ class CurbNetwork {
   [[nodiscard]] std::shared_ptr<const chain::Block> validated_block(
       const crypto::Hash256& header_hash, std::span<const std::uint8_t> bytes);
 
+  /// Whether every transaction of the txList serialized as `payload` is
+  /// signed by the controller it names; false if the list does not decode.
+  /// `digest` is bft::payload_digest(payload). Verdicts are memoised per
+  /// network by that digest, so a txList is decoded and checked once for all
+  /// its controllers. The digest covers every byte, signatures included, so a
+  /// corrupted copy never shares the pristine copy's verdict.
+  [[nodiscard]] bool tx_list_signed(const crypto::Hash256& digest,
+                                    std::span<const std::uint8_t> payload);
+  /// The same for a block decoded from bytes whose payload_digest is
+  /// `digest`. (The block hash would not do as the key: it commits to
+  /// transaction ids, and an id leaves out the signature.)
+  [[nodiscard]] bool block_signed(const crypto::Hash256& digest, const chain::Block& block);
+
   /// One-way propagation delays (ms) over the topology's shortest paths.
   [[nodiscard]] double cs_delay_ms(std::uint32_t switch_id, std::uint32_t controller_id) const;
   [[nodiscard]] double cc_delay_ms(std::uint32_t c1, std::uint32_t c2) const;
@@ -154,6 +168,11 @@ class CurbNetwork {
   [[nodiscard]] Controller* pick_recovery_donor() const;
   /// Long-lived OP() solver for options_.op_solver, created on first use.
   [[nodiscard]] opt::CapSolver& cap_solver();
+  /// The verdict memoised for `digest`, or check()'s, remembered.
+  template <typename Check>
+  [[nodiscard]] bool memoised_verdict(const crypto::Hash256& digest, Check check);
+  /// Whether tx carries a valid signature of the controller it names.
+  [[nodiscard]] bool tx_signed(const chain::Transaction& tx) const;
 
   AssignmentState genesis_state_;
   std::shared_ptr<const chain::Block> genesis_block_;
@@ -171,6 +190,11 @@ class CurbNetwork {
   std::size_t block_cache_next_ = 0;
   std::uint64_t block_cache_hits_ = 0;
   std::uint64_t block_cache_misses_ = 0;
+  /// tx_list_signed's and block_signed's verdicts by payload digest. A
+  /// wholesale clear at kMaxVerdicts bounds the memo without recency
+  /// bookkeeping (which would be another host-order-dependence hazard).
+  std::unordered_map<crypto::Hash256, bool, crypto::DigestHash> signature_verdicts_;
+  static constexpr std::size_t kMaxVerdicts = 8192;
   bool initialized_ = false;
   std::unique_ptr<obs::Observatory> observatory_;
   // slo_ before ts_: the collector's destructor closes the trailing window,

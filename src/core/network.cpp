@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "curb/core/codec.hpp"
 #include "curb/obs/res/account.hpp"
 
 namespace curb::core {
@@ -429,6 +430,41 @@ std::shared_ptr<const chain::Block> CurbNetwork::validated_block(
   slot.bytes.assign(bytes.begin(), bytes.end());
   slot.block = block;
   return block;
+}
+
+template <typename Check>
+bool CurbNetwork::memoised_verdict(const crypto::Hash256& digest, Check check) {
+  if (const auto memo = signature_verdicts_.find(digest); memo != signature_verdicts_.end()) {
+    return memo->second;
+  }
+  const bool ok = check();
+  if (signature_verdicts_.size() >= kMaxVerdicts) signature_verdicts_.clear();
+  signature_verdicts_.emplace(digest, ok);
+  return ok;
+}
+
+bool CurbNetwork::tx_signed(const chain::Transaction& tx) const {
+  if (tx.controller_id() >= controllers_.size()) return false;
+  return tx.verify(controllers_[tx.controller_id()]->public_key());
+}
+
+bool CurbNetwork::tx_list_signed(const crypto::Hash256& digest,
+                                 std::span<const std::uint8_t> payload) {
+  return memoised_verdict(digest, [&] {
+    try {
+      return std::ranges::all_of(deserialize_tx_list(payload),
+                                 [this](const chain::Transaction& tx) { return tx_signed(tx); });
+    } catch (const std::exception&) {
+      return false;  // an undecodable txList can never carry valid signatures
+    }
+  });
+}
+
+bool CurbNetwork::block_signed(const crypto::Hash256& digest, const chain::Block& block) {
+  return memoised_verdict(digest, [&] {
+    return std::ranges::all_of(block.transactions(),
+                               [this](const chain::Transaction& tx) { return tx_signed(tx); });
+  });
 }
 
 std::vector<sdn::FlowEntry> CurbNetwork::compute_flow_entries(

@@ -15,9 +15,10 @@ namespace curb::crypto {
 ///   p = 2^256 - 2^32 - 977.
 /// Implemented from scratch to replace the paper's pure-Python ECDSA stack:
 /// curve-specific reductions mod p and mod n, Jacobian coordinates with
-/// mixed additions, a fixed-base comb for k*G, and one Strauss–Shamir pass
-/// for u1*G + u2*Q with u2 split by the GLV endomorphism. Not constant-time:
-/// this is a protocol simulation, not a wallet.
+/// mixed additions, a fixed-base comb for k*G, one Strauss–Shamir pass
+/// for u1*G + u2*Q with u2 split by the GLV endomorphism, and one
+/// Bernstein–Yang safegcd inverse for both moduli. Not constant-time: this
+/// is a protocol simulation, not a wallet.
 namespace secp256k1 {
 
 /// Field prime p.
@@ -44,12 +45,14 @@ struct AffinePoint {
 /// a² mod p with a dedicated squaring: 15 limb products where fe_mul
 /// needs 25.
 [[nodiscard]] U256 fe_sqr(const U256& a);
-/// a^(p-2) mod p by an addition chain; throws std::domain_error if a ≡ 0.
+/// a^-1 mod p by Bernstein–Yang safegcd (variable time); throws
+/// std::domain_error if a ≡ 0.
 [[nodiscard]] U256 fe_inv(const U256& a);
 
 // --- Scalar arithmetic mod n (folding with 2^256 - n, a 129-bit constant) ---
 [[nodiscard]] U256 sc_mul(const U256& a, const U256& b);
-/// a^-1 mod n by binary extended Euclid; throws std::domain_error if a ≡ 0.
+/// a^-1 mod n for any 256-bit a, by the same safegcd as fe_inv; throws
+/// std::domain_error if a ≡ 0.
 [[nodiscard]] U256 sc_inv(const U256& a);
 
 /// Width-w non-adjacent form of k: k = Σ digits[i]·2^i, every nonzero digit

@@ -63,7 +63,7 @@ constexpr int kQEntries = 1 << (kQWindow - 2);
 // need no carries at all. (On four 64-bit limbs GCC compiles the carry
 // chains into long zero-extend-and-add sequences, and a multiplication took
 // about 270 instructions.) The core is internal-linkage code that is always
-// inlined into the point formulas, the inversion chains and to_affine_all.
+// inlined into the point formulas, the square-root chain and to_affine_all.
 //
 // Values are reduced lazily. An element of magnitude m has limbs
 // n[0..3] <= 2m(2^52 - 1) and n[4] <= 2m(2^48 - 1), and is any
@@ -229,17 +229,13 @@ inline Fe sqr_n(Fe a, int k) {
   return a;
 }
 
-/// The shared head of the addition chains for p - 2 and (p + 1) / 4, whose
-/// top 223 bits are all ones: a^(2^2 - 1), a^(2^22 - 1) and a^(2^223 - 1).
-struct ChainHead {
-  Fe x2;
-  Fe x22;
-  Fe x223;
-};
-
-ChainHead chain_head(const Fe& a) {
-  const Fe x2 = mul(sqr(a), a);
-  const Fe x3 = mul(sqr(x2), a);
+/// A square root of a when one exists: a^((p+1)/4), since p ≡ 3 (mod 4),
+/// where (p + 1) / 4 = [223 ones] 0 [22 ones] 0000 1100 in binary. The chain
+/// builds xk = a^(2^k - 1) for the runs of ones it needs.
+std::optional<U256> sqrt(const U256& a) {
+  const Fe x = from_u256(a);
+  const Fe x2 = mul(sqr(x), x);
+  const Fe x3 = mul(sqr(x2), x);
   const Fe x6 = mul(sqr_n(x3, 3), x3);
   const Fe x9 = mul(sqr_n(x6, 3), x3);
   const Fe x11 = mul(sqr_n(x9, 2), x2);
@@ -249,26 +245,8 @@ ChainHead chain_head(const Fe& a) {
   const Fe x176 = mul(sqr_n(x88, 88), x88);
   const Fe x220 = mul(sqr_n(x176, 44), x44);
   const Fe x223 = mul(sqr_n(x220, 3), x3);
-  return {x2, x22, x223};
-}
-
-Fe inv(const Fe& a) {
-  if (is_zero(a)) throw std::domain_error{"fe_inv: zero"};
-  // Fermat: a^(p-2), p - 2 = [223 ones] 0 [22 ones] 0000 101101 in binary.
-  const ChainHead h = chain_head(a);
-  Fe t = mul(sqr_n(h.x223, 23), h.x22);
-  t = mul(sqr_n(t, 5), a);
-  t = mul(sqr_n(t, 3), h.x2);
-  return mul(sqr_n(t, 2), a);
-}
-
-/// A square root of a when one exists: a^((p+1)/4), since p ≡ 3 (mod 4),
-/// where (p + 1) / 4 = [223 ones] 0 [22 ones] 0000 1100 in binary.
-std::optional<U256> sqrt(const U256& a) {
-  const Fe x = from_u256(a);
-  const ChainHead h = chain_head(x);
-  Fe root = mul(sqr_n(h.x223, 23), h.x22);
-  root = sqr_n(mul(sqr_n(root, 6), h.x2), 2);
+  Fe root = mul(sqr_n(x223, 23), x22);
+  root = sqr_n(mul(sqr_n(root, 6), x2), 2);
   if (!equal(sqr(root), x)) return std::nullopt;
   return to_u256(root);
 }
@@ -276,6 +254,239 @@ std::optional<U256> sqrt(const U256& a) {
 }  // namespace fe
 
 using fe::Fe;
+
+// --- Modular inverse (Bernstein–Yang safegcd) --------------------------------
+// One variable-time inverse serves both moduli (p for the field, n for the
+// scalars). It runs divsteps on (f, g) = (m, a), which shrink g to 0 and
+// leave f = ±gcd = ±1, while d and e track f ≡ d·a and g ≡ e·a (mod m): at
+// the end ±d is the inverse. The steps are batched 62 at a time: each batch
+// works on the low 64 bits of f and g only and yields a 2x2 matrix t with
+// 2^62·(f', g') = t·(f, g), which is then applied to the full f, g, d and e.
+// Numbers are five signed 62-bit limbs, Σ v[i]·2^(62i): the matrix entries
+// are below 2^62 in magnitude, so a limb times an entry fits in 124 bits
+// and a row of them sums in a signed 128-bit accumulator. See Bernstein and
+// Yang, "Fast constant-time gcd computation and modular inversion" (2019),
+// and libsecp256k1's modinv64 for the variable-time batching.
+namespace safegcd {
+
+__extension__ typedef __int128 i128;
+using i64 = std::int64_t;
+
+constexpr u64 kM62 = ~0ULL >> 2;
+
+struct Signed62 {
+  i64 v[5];
+};
+
+/// 2^62·(f', g') = [u v; q r]·(f, g).
+struct Matrix {
+  i64 u, v, q, r;
+};
+
+/// Limbs 0..3 take 62 bits each and limb 4 the top 8 bits.
+constexpr Signed62 to_signed62(const U256& a) {
+  const u64 a0 = a.limb(0), a1 = a.limb(1), a2 = a.limb(2), a3 = a.limb(3);
+  return {{static_cast<i64>(a0 & kM62), static_cast<i64>(((a0 >> 62) | (a1 << 2)) & kM62),
+           static_cast<i64>(((a1 >> 60) | (a2 << 4)) & kM62),
+           static_cast<i64>(((a2 >> 58) | (a3 << 6)) & kM62), static_cast<i64>(a3 >> 56)}};
+}
+
+/// The inverse of to_signed62, for limbs 0..3 in [0, 2^62) and limb 4 in
+/// [0, 2^8).
+U256 from_signed62(const Signed62& a) {
+  const auto a0 = static_cast<u64>(a.v[0]), a1 = static_cast<u64>(a.v[1]),
+             a2 = static_cast<u64>(a.v[2]), a3 = static_cast<u64>(a.v[3]),
+             a4 = static_cast<u64>(a.v[4]);
+  return {a0 | (a1 << 62), (a1 >> 2) | (a2 << 60), (a2 >> 4) | (a3 << 58), (a3 >> 6) | (a4 << 56)};
+}
+
+/// x^-1 mod 2^64 for odd x: x·x ≡ 1 (mod 8), and each Newton step
+/// y ← y·(2 - x·y) doubles the number of correct low bits (3, 6, ..., 96).
+constexpr u64 inverse_mod_2_64(u64 x) {
+  u64 y = x;
+  for (int i = 0; i < 5; ++i) y *= 2 - x * y;
+  return y;
+}
+
+struct Modulus {
+  Signed62 m;
+  u64 m_inv62;  // m^-1 mod 2^62
+
+  constexpr explicit Modulus(const U256& modulus)
+      : m{to_signed62(modulus)}, m_inv62{inverse_mod_2_64(modulus.limb(0)) & kM62} {}
+};
+
+constexpr Modulus kFieldModulus{kP};
+constexpr Modulus kScalarModulus{kN};
+static_assert(((kFieldModulus.m_inv62 * kP.limb(0)) & kM62) == 1);
+static_assert(((kScalarModulus.m_inv62 * kN.limb(0)) & kM62) == 1);
+
+/// 62 divsteps on the low bits of f (odd) and g, starting from eta = -delta;
+/// returns the new eta. A run of zero bits in g is one shift, and a step
+/// with g odd also clears the next few low bits of g (up to 6 after a swap,
+/// up to 4 otherwise) with one multiple of f.
+i64 divsteps_62(i64 eta, u64 f0, u64 g0, Matrix& t) {
+  // Invariants: u·f0 + v·g0 = f·2^(62-i) and q·f0 + r·g0 = g·2^(62-i).
+  u64 u = 1, v = 0, q = 0, r = 1;
+  u64 f = f0, g = g0;
+  int i = 62;
+  for (;;) {
+    // The sentinel bit stops the count at the i steps still to do.
+    const int zeros = std::countr_zero(g | (~0ULL << i));
+    g >>= zeros;
+    u <<= zeros;
+    v <<= zeros;
+    eta -= zeros;
+    i -= zeros;
+    if (i == 0) break;
+    // f and g are odd. Add w·f to g with w = -g/f mod 2^k, k = min(eta + 1,
+    // i, 6 or 4): more would flip eta's sign or pass step 62.
+    u64 w;
+    int limit;
+    if (eta < 0) {
+      eta = -eta;
+      const u64 f_old = f, u_old = u, v_old = v;  // (f, g) <- (g, -f)
+      f = g;
+      g = -f_old;
+      u = q;
+      q = -u_old;
+      v = r;
+      r = -v_old;
+      limit = std::min(static_cast<int>(eta) + 1, i);
+      // f·(f² - 2) ≡ -1/f (mod 64) for odd f.
+      w = (f * g * (f * f - 2)) & (~0ULL >> (64 - limit)) & 63;
+    } else {
+      limit = std::min(static_cast<int>(eta) + 1, i);
+      const u64 f_inv = f + (((f + 1) & 4) << 1);  // 1/f (mod 16)
+      w = (-f_inv * g) & (~0ULL >> (64 - limit)) & 15;
+    }
+    g += f * w;
+    q += u * w;
+    r += v * w;
+  }
+  t = {static_cast<i64>(u), static_cast<i64>(v), static_cast<i64>(q), static_cast<i64>(r)};
+  return eta;
+}
+
+/// The low 62 bits of an accumulator as a limb.
+inline i64 low62(i128 c) { return static_cast<i64>(static_cast<u64>(c) & kM62); }
+
+/// (d, e) <- t·(d, e) / 2^62 (mod m). A multiple of m is added to each row
+/// first to make it divisible by 2^62; inputs in (-2m, m) stay in (-2m, m).
+void update_de(Signed62& d, Signed62& e, const Matrix& t, const Modulus& mod) {
+  const i64 u = t.u, v = t.v, q = t.q, r = t.r;
+  // Adding u·m (or q·m) where d is negative, and v·m (or r·m) where e is,
+  // keeps the result above -2m.
+  const i64 sd = d.v[4] >> 63, se = e.v[4] >> 63;
+  i64 md = (u & sd) + (v & se);
+  i64 me = (q & sd) + (r & se);
+  i128 cd = static_cast<i128>(u) * d.v[0] + static_cast<i128>(v) * e.v[0];
+  i128 ce = static_cast<i128>(q) * d.v[0] + static_cast<i128>(r) * e.v[0];
+  // md ≡ -cd/m (mod 2^62), kept within 2^62 of its start.
+  md -= static_cast<i64>((mod.m_inv62 * static_cast<u64>(cd) + static_cast<u64>(md)) & kM62);
+  me -= static_cast<i64>((mod.m_inv62 * static_cast<u64>(ce) + static_cast<u64>(me)) & kM62);
+  cd += static_cast<i128>(mod.m.v[0]) * md;
+  ce += static_cast<i128>(mod.m.v[0]) * me;
+  cd >>= 62;  // the low 62 bits are now zero
+  ce >>= 62;
+  for (int i = 1; i < 5; ++i) {
+    cd += static_cast<i128>(u) * d.v[i] + static_cast<i128>(v) * e.v[i] +
+          static_cast<i128>(mod.m.v[i]) * md;
+    ce += static_cast<i128>(q) * d.v[i] + static_cast<i128>(r) * e.v[i] +
+          static_cast<i128>(mod.m.v[i]) * me;
+    d.v[i - 1] = low62(cd);
+    e.v[i - 1] = low62(ce);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d.v[4] = static_cast<i64>(cd);
+  e.v[4] = static_cast<i64>(ce);
+}
+
+/// (f, g) <- t·(f, g) / 2^62 on the low `len` limbs; the division is exact.
+void update_fg(int len, Signed62& f, Signed62& g, const Matrix& t) {
+  const i64 u = t.u, v = t.v, q = t.q, r = t.r;
+  i128 cf = static_cast<i128>(u) * f.v[0] + static_cast<i128>(v) * g.v[0];
+  i128 cg = static_cast<i128>(q) * f.v[0] + static_cast<i128>(r) * g.v[0];
+  cf >>= 62;
+  cg >>= 62;
+  for (int i = 1; i < len; ++i) {
+    cf += static_cast<i128>(u) * f.v[i] + static_cast<i128>(v) * g.v[i];
+    cg += static_cast<i128>(q) * f.v[i] + static_cast<i128>(r) * g.v[i];
+    f.v[i - 1] = low62(cf);
+    g.v[i - 1] = low62(cg);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[len - 1] = static_cast<i64>(cf);
+  g.v[len - 1] = static_cast<i64>(cg);
+}
+
+/// Carry limbs 0..3 into [0, 2^62); limb 4 takes the sign.
+inline void carry(Signed62& r) {
+  for (int i = 0; i < 4; ++i) {
+    r.v[i + 1] += r.v[i] >> 62;
+    r.v[i] &= static_cast<i64>(kM62);
+  }
+}
+
+/// Add m to r when r is negative.
+inline void add_modulus_if_negative(Signed62& r, const Modulus& mod) {
+  const i64 negative = r.v[4] >> 63;
+  for (int i = 0; i < 5; ++i) r.v[i] += mod.m.v[i] & negative;
+}
+
+/// d in (-2m, m), negated when f ended at -1, as a value in [0, m).
+U256 normalize(Signed62 d, i64 f_sign, const Modulus& mod) {
+  add_modulus_if_negative(d, mod);  // (-m, m)
+  const i64 negate = f_sign >> 63;
+  for (i64& limb : d.v) limb = (limb ^ negate) - negate;
+  carry(d);
+  add_modulus_if_negative(d, mod);  // [0, m)
+  carry(d);
+  return from_signed62(d);
+}
+
+/// a^-1 mod m for 0 < a < m. Variable time.
+U256 inverse(const U256& a, const Modulus& mod) {
+  Signed62 d{{0, 0, 0, 0, 0}};
+  Signed62 e{{1, 0, 0, 0, 0}};
+  Signed62 f = mod.m;
+  Signed62 g = to_signed62(a);
+  int len = 5;  // limbs of f and g still in use
+  i64 eta = -1;
+  for (;;) {
+    Matrix t;
+    eta = divsteps_62(eta, static_cast<u64>(f.v[0]), static_cast<u64>(g.v[0]), t);
+    update_de(d, e, t, mod);
+    update_fg(len, f, g, t);
+    if (g.v[0] == 0) {
+      i64 rest = 0;
+      for (int i = 1; i < len; ++i) rest |= g.v[i];
+      if (rest == 0) break;
+    }
+    // When the top limbs of f and g are both 0 or -1 (sign only), fold the
+    // sign into the limb below and drop a limb.
+    const i64 fn = f.v[len - 1], gn = g.v[len - 1];
+    if (len > 1 && (fn ^ (fn >> 63)) == 0 && (gn ^ (gn >> 63)) == 0) {
+      f.v[len - 2] |= static_cast<i64>(static_cast<u64>(fn) << 62);
+      g.v[len - 2] |= static_cast<i64>(static_cast<u64>(gn) << 62);
+      --len;
+    }
+  }
+  return normalize(d, f.v[len - 1], mod);
+}
+
+}  // namespace safegcd
+
+namespace fe {
+
+inline Fe inv(const Fe& a) {
+  if (is_zero(a)) throw std::domain_error{"fe_inv: zero"};
+  return from_u256(safegcd::inverse(to_u256(a), safegcd::kFieldModulus));
+}
+
+}  // namespace fe
 
 // --- Points on the field core -----------------------------------------------
 // Jacobian points keep coordinates of magnitude <= 4 and an explicit
@@ -402,31 +613,6 @@ U256 reduce_n(std::array<std::uint64_t, 8> t) {
     t = next;
   }
   return reduce_n_once({t[0], t[1], t[2], t[3]});
-}
-
-/// x >> s for 0 < s < 64.
-U256 shr_small(const U256& x, unsigned s) {
-  return {(x.limb(0) >> s) | (x.limb(1) << (64 - s)), (x.limb(1) >> s) | (x.limb(2) << (64 - s)),
-          (x.limb(2) >> s) | (x.limb(3) << (64 - s)), x.limb(3) >> s};
-}
-
-/// x / 2 mod n for x < n: odd x is first made even by adding n.
-U256 half_mod_n(const U256& x) {
-  if (!x.is_odd()) return shr_small(x, 1);
-  U256 sum;
-  const bool carry = U256::add_with_carry(x, kN, sum);
-  const U256 half = shr_small(sum, 1);
-  return {half.limb(0), half.limb(1), half.limb(2),
-          half.limb(3) | (static_cast<std::uint64_t>(carry) << 63)};
-}
-
-/// Divide the factors of two out of u (nonzero), halving x mod n once for each.
-void strip_twos(U256& u, U256& x) {
-  while (!u.is_odd()) {
-    const auto shift = static_cast<unsigned>(std::min(std::countr_zero(u.limb(0)), 63));
-    u = shr_small(u, shift);
-    for (unsigned i = 0; i < shift; ++i) x = half_mod_n(x);
-  }
 }
 
 /// Convert N finite points to affine with one field inversion (Montgomery's
@@ -575,29 +761,9 @@ U256 fe_inv(const U256& a) { return fe::to_u256(fe::inv(fe::from_u256(a))); }
 U256 sc_mul(const U256& a, const U256& b) { return reduce_n(U256::mul_wide(a, b)); }
 
 U256 sc_inv(const U256& a) {
-  U256 u = U256::reduce(a, kN);
+  const U256 u = U256::reduce(a, kN);
   if (u.is_zero()) throw std::domain_error{"sc_inv: zero"};
-  // Binary extended Euclid on (a, n), keeping x1·a ≡ u and x2·a ≡ v (mod n).
-  // n is an odd prime, so u and v meet at gcd 1 before either reaches 0.
-  const U256 one{1};
-  U256 v = kN;
-  U256 x1 = one;
-  U256 x2;
-  while (u != one && v != one) {
-    strip_twos(u, x1);
-    strip_twos(v, x2);
-    U256 diff;
-    if (u >= v) {
-      U256::sub_with_borrow(u, v, diff);
-      u = diff;
-      x1 = U256::sub_mod(x1, x2, kN);
-    } else {
-      U256::sub_with_borrow(v, u, diff);
-      v = diff;
-      x2 = U256::sub_mod(x2, x1, kN);
-    }
-  }
-  return u == one ? x1 : x2;
+  return safegcd::inverse(u, safegcd::kScalarModulus);
 }
 
 Wnaf to_wnaf(const U256& k, int w) {

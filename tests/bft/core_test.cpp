@@ -145,10 +145,10 @@ TEST_P(ReplicaCore, AdoptedViewPrunesStaleViewChangeVotes) {
 }
 
 TEST_P(ReplicaCore, ReArmedSlotDoesNotFireStaleTimeout) {
-  // Regression: a slot re-armed by a fresh proposal (the new leader reuses
-  // the sequence it re-proposed during view change) must cancel the previous
-  // timer, or the stale timer fires mid-round and forces a spurious view
-  // change even though the round commits in time.
+  // Regression: a slot re-armed by a re-proposal after a view change must
+  // cancel the timer of its previous round, or the stale timer fires
+  // mid-round and forces a spurious view change even though the round
+  // commits in time.
   sim::Simulator sim;
   std::vector<PbftMessage> sent;
   std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>> delivered;
@@ -163,9 +163,22 @@ TEST_P(ReplicaCore, ReArmedSlotDoesNotFireStaleTimeout) {
         delivered.emplace_back(seq, p);
       });
 
-  // t=0: replicas 0 and 2 demand view 1 carrying a locked entry for seq 1.
-  // Replica 1 joins at f+1, reaches the 2f+1 quorum, and — as leader of
-  // view 1 — re-proposes seq 1, arming its timeout (fires at t=500ms).
+  // t=0: the view-0 leader proposes "x" at seq 1, arming the slot's timer
+  // (fires at t=500ms).
+  PbftMessage proposal;
+  proposal.type = GetParam() == ConsensusEngine::kPbft ? PbftMessage::Type::kPrePrepare
+                                                       : PbftMessage::Type::kProposal;
+  proposal.sequence = 1;
+  proposal.payload = payload("x");
+  proposal.digest = payload_digest(proposal.payload);
+  proposal.sender = 0;
+  r->on_message(proposal);
+
+  // t=100ms: replicas 0 and 2 demand view 1 carrying a locked "x" at seq 1.
+  // Replica 1 joins at f+1, reaches the 2f+1 quorum, and, as leader of
+  // view 1, re-proposes seq 1, re-arming its timer (new deadline t=600ms).
+  // The view-0 timer must die here.
+  sim.run_until(100_ms);
   for (const std::uint32_t sender : {0u, 2u}) {
     PbftMessage vc;
     vc.type = PbftMessage::Type::kViewChange;
@@ -177,44 +190,91 @@ TEST_P(ReplicaCore, ReArmedSlotDoesNotFireStaleTimeout) {
   ASSERT_EQ(r->view(), 1u);
   ASSERT_TRUE(r->is_leader());
   sent.clear();  // the join's own VIEW-CHANGE broadcast is legitimate
+  // A fresh proposal takes the next sequence after the carried one.
+  ASSERT_EQ(r->propose(payload("y")), 2u);
 
-  // t=100ms: the leader proposes fresh content that lands on the same
-  // sequence, re-arming the slot (new deadline t=600ms). The old timer must
-  // die here.
-  sim.run_until(100_ms);
-  const std::uint64_t seq = r->propose(payload("y"));
-  ASSERT_EQ(seq, 1u);
-
-  // t=550ms: past the stale deadline but before the live one, replicas 2
-  // and 3 cast every vote the engine needs, and the round completes.
+  // t=550ms: past the stale deadline but before the live ones, replicas 2
+  // and 3 cast every vote the engine needs for both slots, and they commit.
   sim.run_until(550_ms);
   const std::vector<PbftMessage::Type> votes =
       GetParam() == ConsensusEngine::kPbft
           ? std::vector{PbftMessage::Type::kPrepare, PbftMessage::Type::kCommit}
           : std::vector{PbftMessage::Type::kVotePrepare, PbftMessage::Type::kVotePreCommit,
                         PbftMessage::Type::kVoteCommit};
-  for (const PbftMessage::Type type : votes) {
-    for (const std::uint32_t sender : {2u, 3u}) {
-      PbftMessage vote;
-      vote.type = type;
-      vote.view = 1;
-      vote.sequence = 1;
-      vote.digest = payload_digest(payload("y"));
-      vote.sender = sender;
-      r->on_message(vote);
+  for (const auto& [seq, body] : {std::pair{1u, payload("x")}, std::pair{2u, payload("y")}}) {
+    for (const PbftMessage::Type type : votes) {
+      for (const std::uint32_t sender : {2u, 3u}) {
+        PbftMessage vote;
+        vote.type = type;
+        vote.view = 1;
+        vote.sequence = seq;
+        vote.digest = payload_digest(body);
+        vote.sender = sender;
+        r->on_message(vote);
+      }
     }
   }
   sim.run();
 
-  ASSERT_EQ(delivered.size(), 1u);
-  EXPECT_EQ(delivered[0].first, 1u);
-  EXPECT_EQ(delivered[0].second, payload("y"));
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0], std::pair(std::uint64_t{1}, payload("x")));
+  EXPECT_EQ(delivered[1], std::pair(std::uint64_t{2}, payload("y")));
   EXPECT_EQ(r->view(), 1u);
   // A stale timer fires at t=500ms and broadcasts a VIEW-CHANGE for view 2;
   // no view-change message may leave the replica after the adoption.
   for (const PbftMessage& msg : sent) {
     EXPECT_NE(msg.type, PbftMessage::Type::kViewChange)
         << "stale slot timeout triggered a spurious view change (view " << msg.view << ")";
+  }
+}
+
+TEST_P(ReplicaCore, NewLeaderDoesNotReissueACarriedSequence) {
+  // View 0: leader 0 proposes "x" at seq 1, and replicas 0, 2 and 3 lock it
+  // (PBFT prepared, HotStuff pre-committed) but never commit it: every
+  // commit-phase message is lost, and replica 1, the leader of view 1, hears
+  // nothing of view 0. The slot timers force view 1, whose NEW-VIEW carries
+  // seq 1 to a leader that holds no slot for it. Its view-change hook then
+  // proposes "y", as the controller's rehandle_pending does, before the
+  // carried entry is re-proposed: "y" must take seq 2, and every replica
+  // must deliver "x" at 1 and "y" at 2.
+  sim::Simulator sim;
+  constexpr std::uint32_t kSize = 4;
+  std::vector<std::unique_ptr<ConsensusReplica>> replicas;
+  std::vector<std::vector<PbftGroup::Delivery>> delivered(kSize);
+  const auto lost = [](std::uint32_t dest, const PbftMessage& msg) {
+    if (msg.view != 0) return false;
+    return dest == 1 || msg.type == PbftMessage::Type::kCommit ||
+           msg.type == PbftMessage::Type::kVoteCommit;
+  };
+  for (std::uint32_t i = 0; i < kSize; ++i) {
+    ReplicaConfig cfg;
+    cfg.replica_index = i;
+    cfg.group_size = kSize;
+    cfg.view_change_timeout = sim::SimTime::millis(500);
+    replicas.push_back(make_replica(
+        GetParam(), cfg, sim,
+        [&](std::uint32_t dest, const PbftMessage& msg) {
+          if (lost(dest, msg)) return;
+          sim.schedule(sim::SimTime::millis(1),
+                       [&replicas, dest, msg] { replicas[dest]->on_message(msg); });
+        },
+        [&delivered, i](std::uint64_t seq, const std::vector<std::uint8_t>& p) {
+          delivered[i].push_back({seq, p});
+        }));
+  }
+  for (auto& replica : replicas) {
+    replica->set_on_view_change([&replica](std::uint64_t) {
+      if (replica->is_leader()) (void)replica->propose(payload("y"));
+    });
+  }
+
+  (void)replicas[0]->propose(payload("x"));
+  sim.run_until(sim::SimTime::millis(5000));
+
+  ASSERT_EQ(replicas[1]->view(), 1u);
+  const std::vector<PbftGroup::Delivery> expected{{1, payload("x")}, {2, payload("y")}};
+  for (std::uint32_t i = 0; i < kSize; ++i) {
+    EXPECT_EQ(delivered[i], expected) << "replica " << i;
   }
 }
 

@@ -729,6 +729,35 @@ TEST(CurbIntegration, CorruptFinalAgreeNeverCommitsBadSignatures) {
   }
 }
 
+TEST(CurbIntegration, SignatureVerdictsAreSharedAcrossControllers) {
+  // The network checks each txList and each block once for all its
+  // controllers (CurbNetwork::tx_list_signed and block_signed), so a
+  // committed transaction costs one signature-cache lookup in its txList and
+  // one in its block, however many controllers vote on it. A verdict kept
+  // per controller made about one lookup per controller per copy.
+  const SigCacheGuard guard;
+  crypto::SigCache::instance().set_enabled(true);
+  crypto::SigCache::instance().clear();
+  CurbOptions opts = test_options();
+  opts.verify_signatures = true;
+  opts.controller_capacity = 8.0;
+  opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+  CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+  const crypto::SigCacheStats before = crypto::SigCache::instance().stats();
+  const std::vector<RoundMetrics> rounds = sim.run_packet_in_rounds(3);
+  const crypto::SigCacheStats after = crypto::SigCache::instance().stats();
+  for (const RoundMetrics& m : rounds) EXPECT_EQ(m.accepted, m.issued);
+  const auto& chain = sim.network().controller(0).blockchain();
+  std::uint64_t committed = 0;
+  for (std::uint64_t h = 1; h <= chain.height(); ++h) {
+    committed += chain.at(h).transactions().size();
+  }
+  ASSERT_GT(committed, 0u);
+  const std::uint64_t lookups = (after.hits - before.hits) + (after.misses - before.misses);
+  EXPECT_LE(lookups, 2 * committed) << lookups << " lookups for " << committed
+                                    << " committed transactions";
+}
+
 TEST(CurbIntegration, AtMostTwoMerkleBuildsPerAppliedBlock) {
   // The network decodes and Merkle-checks each distinct FINAL-AGREE copy
   // once for all its controllers (CurbNetwork::validated_block), and each

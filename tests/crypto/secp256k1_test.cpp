@@ -37,6 +37,53 @@ std::vector<U256> edge_and_random_scalars(std::size_t random_count) {
   return out;
 }
 
+U256 plus_one(const U256& a) {
+  U256 out;
+  U256::add_with_carry(a, U256{1}, out);
+  return out;
+}
+
+/// Nonzero values below the odd prime m that steer the safegcd inverse down
+/// its edge paths, then 1,000 seeded random ones:
+///   - 1, 2, and 2^k and 2^k - 1 at the 62-bit limb boundaries and the top;
+///   - m - 1, m - 2 and (m + 1) / 2;
+///   - every value whose 62-bit limbs (the inverse's representation) or
+///     64-bit limbs are each all zeros or all ones, reduced mod m: their top
+///     limbs are 0 or -1 early, which shrinks the limb count.
+std::vector<U256> inverse_operands(const U256& m) {
+  const auto minus = [](const U256& a, std::uint64_t k) {
+    U256 out;
+    U256::sub_with_borrow(a, U256{k}, out);
+    return out;
+  };
+  std::vector<U256> out{U256{1}, U256{2}, minus(m, 1), minus(m, 2), plus_one(m) >> 1};
+  for (const unsigned k : {62u, 124u, 186u, 248u, 255u}) {
+    const U256 power = U256{1} << k;
+    out.push_back(power);
+    out.push_back(minus(power, 1));
+  }
+  constexpr std::uint64_t kOnes62 = ~0ULL >> 2;
+  for (unsigned mask = 1; mask < 32; ++mask) {
+    // Limb i of 62 bits is all ones when bit i of mask is set; limb 4 holds 8 bits.
+    U256 value;
+    for (unsigned i = 0; i < 5; ++i) {
+      if ((mask >> i & 1) == 0) continue;
+      const U256 limb{i < 4 ? kOnes62 : 0xffULL};
+      U256::add_with_carry(value, limb << (62 * i), value);
+    }
+    out.push_back(value);
+  }
+  for (unsigned mask = 1; mask < 16; ++mask) {
+    const auto word = [mask](unsigned i) { return (mask >> i & 1) != 0 ? ~0ULL : 0ULL; };
+    out.push_back(U256{word(0), word(1), word(2), word(3)});
+  }
+  std::mt19937_64 rng{20261019};
+  for (int i = 0; i < 1000; ++i) out.push_back(random_u256(rng));
+  for (U256& a : out) a = U256::reduce(a, m);
+  std::erase_if(out, [](const U256& a) { return a.is_zero(); });
+  return out;
+}
+
 ec::AffinePoint reference_mul(const U256& k, const ec::AffinePoint& p) {
   return ec::scalar_mul(k, ec::JacobianPoint::from_affine(p)).to_affine();
 }
@@ -143,10 +190,14 @@ TEST(Secp256k1, FieldOpsMatchBitSerial) {
 }
 
 TEST(Secp256k1, FieldInverseMatchesBitSerial) {
-  for (const U256& a : {U256{1}, U256{2}, U256{0xdeadbeefcafebabeULL, 7, 0, 1ULL << 63},
-                        U256{~0ULL - 0x3d1, ~0ULL, ~0ULL, ~0ULL}}) {
-    EXPECT_EQ(ec::fe_inv(a), U256::inv_mod_prime(a, ec::field_prime())) << a.to_hex();
+  const U256& p = ec::field_prime();
+  for (const U256& a : inverse_operands(p)) {
+    ASSERT_EQ(ec::fe_inv(a), U256::inv_mod_prime(a, p)) << a.to_hex();
   }
+  // Inputs need not be reduced: p + 1 ≡ 1, and 0 ≡ p has no inverse.
+  EXPECT_EQ(ec::fe_inv(plus_one(p)), U256{1});
+  EXPECT_THROW((void)ec::fe_inv(U256{}), std::domain_error);
+  EXPECT_THROW((void)ec::fe_inv(p), std::domain_error);
 }
 
 TEST(Scalar, MulMatchesBitSerial) {
@@ -160,16 +211,23 @@ TEST(Scalar, MulMatchesBitSerial) {
 }
 
 TEST(Scalar, InverseMatchesBitSerial) {
+  const U256& n = ec::group_order();
+  for (const U256& a : inverse_operands(n)) {
+    ASSERT_EQ(ec::sc_inv(a), U256::inv_mod_prime(a, n)) << a.to_hex();
+  }
   for (const U256& a : edge_and_random_scalars(6)) {
-    const U256 reduced = U256::reduce(a, ec::group_order());
+    const U256 reduced = U256::reduce(a, n);
     if (reduced.is_zero()) {
       EXPECT_THROW((void)ec::sc_inv(a), std::domain_error) << a.to_hex();
       continue;
     }
     const U256 inv = ec::sc_inv(a);
-    EXPECT_EQ(inv, U256::inv_mod_prime(reduced, ec::group_order())) << a.to_hex();
+    EXPECT_EQ(inv, U256::inv_mod_prime(reduced, n)) << a.to_hex();
     EXPECT_EQ(ec::sc_mul(a, inv), U256{1}) << a.to_hex();
   }
+  EXPECT_EQ(ec::sc_inv(plus_one(n)), U256{1});
+  EXPECT_THROW((void)ec::sc_inv(U256{}), std::domain_error);
+  EXPECT_THROW((void)ec::sc_inv(n), std::domain_error);
 }
 
 TEST(Scalar, InverseRoundTripsOnRandomOperands) {
