@@ -42,6 +42,16 @@ std::string txns_attr_from_payload(const std::vector<std::uint8_t>& payload) {
     return {};
   }
 }
+
+/// The assignment a RE-ASS transaction carries; nullopt when its config
+/// does not decode (nothing actionable).
+std::optional<AssignmentState> carried_assignment(const chain::Transaction& tx) {
+  try {
+    return AssignmentState::deserialize(tx.config());
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
 }  // namespace
 
 Controller::Controller(std::uint32_t id, net::NodeId node, crypto::KeyPair key,
@@ -60,112 +70,62 @@ void Controller::initialize(const AssignmentState& state,
   rebuild_replicas();
 }
 
-void Controller::rebuild_replicas() {
-  const auto& options = network_.options();
+void Controller::remember_instances(const AssignmentState& state) {
+  for (const GroupInfo& g : state.groups()) {
+    known_instances_[AssignmentState::instance_id_of(g.members)] = g.members;
+  }
+}
 
+void Controller::rebuild_replicas() {
   // --- Intra-group replicas: diff by membership-stable instance id.
   // Instances whose member set is unchanged survive with all their PBFT
   // state and in-flight proposals; only genuinely new/removed groups churn.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> wanted;  // instance -> members
-  std::map<std::uint32_t, std::uint32_t> instance_leader;
+  std::map<std::uint32_t, const GroupInfo*> wanted;
   for (const std::uint32_t gid : state_.groups_of_controller(id_)) {
     const GroupInfo& group = state_.group(gid);
-    const std::uint32_t instance = AssignmentState::instance_id_of(group.members);
-    wanted.emplace(instance, group.members);
-    instance_leader.emplace(instance, group.leader);
+    wanted.emplace(AssignmentState::instance_id_of(group.members), &group);
   }
   // Record every group of the adopted epoch (not only own memberships) so
   // final-committee AGREE validation covers all instances.
-  for (const GroupInfo& g : state_.groups()) {
-    known_instances_[AssignmentState::instance_id_of(g.members)] = g.members;
-  }
+  remember_instances(state_);
 
-  // Retire (not destroy) replicas whose group dissolved: in-flight
-  // consensus may still complete and land on chain within the grace period.
+  // Retire (not destroy) replicas whose group dissolved, and resume retired
+  // ones whose membership came back.
   const sim::SimTime grace = network_.options().pbft_timeout * 4;
-  for (auto it = replicas_.begin(); it != replicas_.end();) {
-    if (wanted.contains(it->first)) {
-      ++it;
-      continue;
-    }
-    const std::uint32_t instance = it->first;
-    // A re-created instance (same membership reappears) resumes its retired
-    // replica below; otherwise it expires.
-    retired_replicas_[instance] = std::move(it->second);
-    it = replicas_.erase(it);
-    network_.simulator().schedule(grace, [this, instance] {
-      if (replicas_.contains(instance)) return;  // resurrected meanwhile
-      retired_replicas_.erase(instance);
-      request_buffer_.erase(instance);
-      pending_requests_.erase(instance);
-      reass_window_.erase(instance);
-      const auto timer = reass_window_timer_.find(instance);
-      if (timer != reass_window_timer_.end()) {
-        network_.simulator().cancel(timer->second);
-        reass_window_timer_.erase(timer);
-      }
+  for (auto& [id, instance] : instances_) {
+    const bool dissolved = !wanted.contains(id);
+    if (instance.replica == nullptr || instance.retired == dissolved) continue;
+    instance.retired = dissolved;
+    if (!dissolved) continue;  // resurrected
+    network_.simulator().schedule(grace, [this, id = id] {
+      const auto it = instances_.find(id);
+      if (it == instances_.end() || !it->second.retired) return;  // resurrected meanwhile
+      network_.simulator().cancel(it->second.reass_window.timer);
+      auto outstanding = std::move(it->second.outstanding);
+      instances_.erase(it);
+      // Its proposals may still reach the chain, and apply_block clears them.
+      if (!outstanding.empty()) instances_[id].outstanding = std::move(outstanding);
     });
   }
-  // Resurrect retired replicas whose membership came back.
-  for (auto it = retired_replicas_.begin(); it != retired_replicas_.end();) {
-    if (wanted.contains(it->first)) {
-      replicas_[it->first] = std::move(it->second);
-      it = retired_replicas_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (const auto& [instance, members] : wanted) {
-    if (replicas_.contains(instance)) continue;
-    bft::ReplicaConfig cfg;
-    const auto self_it = std::find(members.begin(), members.end(), id_);
-    cfg.replica_index = static_cast<std::uint32_t>(self_it - members.begin());
-    cfg.group_size = members.size();
-    cfg.view_change_timeout = options.pbft_timeout;
-    // Seat the OP-designated leader: view v has leader v % n.
-    const auto leader_it =
-        std::find(members.begin(), members.end(), instance_leader.at(instance));
-    cfg.initial_view = static_cast<std::uint64_t>(leader_it - members.begin());
-    cfg.obs = network_.observatory();
-    if (cfg.obs != nullptr) {
-      cfg.span_track = "ctrl-" + std::to_string(id_);
-      cfg.span_prefix = "intra_pbft";
-      cfg.span_attrs = {{"controller", std::to_string(id_)},
-                        {"instance", std::to_string(instance)}};
-    }
-    if (options.verify_signatures) {
-      cfg.validate_payload = [this](const std::vector<std::uint8_t>& payload) {
-        return network_.tx_list_signed(bft::payload_digest(payload), payload);
-      };
-    }
-    auto replica = bft::make_replica(
-        network_.options().consensus_engine, cfg, network_.simulator(),
-        [this, instance, members](std::uint32_t dest, const bft::PbftMessage& msg) {
-          PbftEnvelope envelope{instance, state_.epoch(), msg};
-          send_to_controller(members[dest], CurbMessage{std::move(envelope)});
-        },
-        [this, instance](std::uint64_t, const std::vector<std::uint8_t>& payload) {
-          on_intra_committed(instance, payload);
-        });
-    replica->set_on_view_change([this, instance](std::uint64_t) {
-      rehandle_pending(instance);
+  for (const auto& [id, group] : wanted) {
+    Instance& instance = instances_[id];
+    if (instance.replica != nullptr) continue;
+    instance.replica = build_replica(id, group->members, group->leader);
+    instance.replica->set_on_view_change([this, id = id](std::uint64_t) {
+      rehandle_pending(id);
     });
-    replicas_.emplace(instance, std::move(replica));
   }
 
   // --- Final replica: preserved while the committee is unchanged. On a
-  // committee change the AGREE bookkeeping and block buffer are KEPT: every
-  // committee member buffers confirmed txLists, so whoever leads next can
-  // drain anything that has not yet reached the chain.
+  // committee change the AGREE bookkeeping and block buffer are KEPT.
   const auto& committee = state_.final_committee();
-  for (const std::uint32_t member : committee) ever_committee_.insert(member);
+  ever_committee_.insert(committee.begin(), committee.end());
   const bool member_now = state_.in_final_committee(id_);
-  const bool was_member = !final_committee_cache_.empty();
-  const bool committee_changed = final_committee_cache_ != committee;
+  const bool committee_changed = committee_.members != committee;
   // Hand over the confirmed backlog: former members re-AGREE everything not
   // yet on chain to the incoming committee, so the new leader can seal it.
-  if (was_member && committee_changed && !block_buffer_.empty()) {
-    for (const ConfirmedTxList& confirmed : block_buffer_) {
+  if (!committee_.members.empty() && committee_changed) {
+    for (const ConfirmedTxList& confirmed : committee_.block_buffer) {
       AgreeMsg agree{confirmed.instance, id_, confirmed.bytes};
       for (const std::uint32_t member : committee) {
         if (member == id_) continue;  // self re-delivery handled below
@@ -175,48 +135,14 @@ void Controller::rebuild_replicas() {
   }
   if (!member_now) {
     retire_final_replica();
-    final_committee_cache_.clear();
-    agree_votes_.clear();
-    block_buffer_.clear();
-    final_proposal_in_flight_ = false;
+    committee_ = {};
   } else if (committee_changed) {
     retire_final_replica();
-    bft::ReplicaConfig cfg;
-    cfg.replica_index = *state_.final_replica_index(id_);
-    cfg.group_size = committee.size();
-    cfg.view_change_timeout = options.pbft_timeout;
-    cfg.initial_view = *state_.final_replica_index(state_.final_leader());
-    cfg.obs = network_.observatory();
-    if (cfg.obs != nullptr) {
-      cfg.span_track = "ctrl-" + std::to_string(id_);
-      cfg.span_prefix = "final_pbft";
-      cfg.span_attrs = {{"controller", std::to_string(id_)},
-                        {"epoch", std::to_string(state_.epoch())}};
-    }
-    if (options.verify_signatures) {
-      cfg.validate_payload = [this](const std::vector<std::uint8_t>& payload) {
-        std::shared_ptr<const chain::Block> block;
-        try {
-          block = network_.validated_block(
-              chain::Block::deserialize_header(payload).hash(), payload);
-        } catch (const std::exception&) {
-          return false;  // truncated header
-        }
-        return block != nullptr && network_.block_signed(bft::payload_digest(payload), *block);
-      };
-    }
-    final_replica_ = bft::make_replica(
-        network_.options().consensus_engine, cfg, network_.simulator(),
-        [this, committee](std::uint32_t dest, const bft::PbftMessage& msg) {
-          PbftEnvelope envelope{PbftEnvelope::kFinalInstance, state_.epoch(), msg};
-          send_to_controller(committee[dest], CurbMessage{std::move(envelope)});
-        },
-        [this](std::uint64_t, const std::vector<std::uint8_t>& payload) {
-          on_final_committed(payload);
-        });
-    final_committee_cache_ = committee;
-    final_proposal_in_flight_ = false;
-    if (!block_buffer_.empty() && final_replica_->is_leader()) {
+    committee_.replica = build_replica(PbftEnvelope::kFinalInstance, committee,
+                                       state_.final_leader());
+    committee_.members = committee;
+    committee_.proposal_in_flight = false;
+    if (!committee_.block_buffer.empty() && committee_.replica->is_leader()) {
       network_.simulator().schedule(sim::SimTime::zero(),
                                     [this] { flush_block_buffer(); });
     }
@@ -225,7 +151,7 @@ void Controller::rebuild_replicas() {
   // Replay AGREEs that arrived before this node adopted their instance.
   if (!orphan_agrees_.empty() && member_now) {
     const sim::SimTime now = network_.simulator().now();
-    const sim::SimTime max_age = options.pbft_timeout * 4;
+    const sim::SimTime max_age = network_.options().pbft_timeout * 4;
     std::vector<std::pair<sim::SimTime, AgreeMsg>> orphans;
     orphans.swap(orphan_agrees_);
     for (auto& [when, agree] : orphans) {
@@ -236,17 +162,63 @@ void Controller::rebuild_replicas() {
   }
 }
 
+std::unique_ptr<bft::ConsensusReplica> Controller::build_replica(
+    std::uint32_t instance, const std::vector<std::uint32_t>& members, std::uint32_t leader) {
+  const CurbOptions& options = network_.options();
+  const bool final_layer = instance == PbftEnvelope::kFinalInstance;
+  const auto index_of = [&members](std::uint32_t controller) {
+    return static_cast<std::uint32_t>(
+        std::find(members.begin(), members.end(), controller) - members.begin());
+  };
+  bft::ReplicaConfig cfg;
+  cfg.replica_index = index_of(id_);
+  cfg.group_size = members.size();
+  cfg.view_change_timeout = options.pbft_timeout;
+  cfg.initial_view = index_of(leader);  // view v has leader v % n
+  cfg.obs = network_.observatory();
+  if (cfg.obs != nullptr) {
+    cfg.span_track = "ctrl-" + std::to_string(id_);
+    cfg.span_prefix = final_layer ? "final_pbft" : "intra_pbft";
+    cfg.span_attrs = {{"controller", std::to_string(id_)},
+                      final_layer ? std::pair{"epoch", std::to_string(state_.epoch())}
+                                  : std::pair{"instance", std::to_string(instance)}};
+  }
+  if (options.verify_signatures) {
+    cfg.validate_payload = [this, final_layer](const std::vector<std::uint8_t>& payload) {
+      if (!final_layer) return network_.tx_list_signed(bft::payload_digest(payload), payload);
+      try {
+        return network_.validated_block(chain::Block::deserialize_header(payload).hash(),
+                                        payload) != nullptr;
+      } catch (const std::exception&) {
+        return false;  // truncated header
+      }
+    };
+  }
+  return bft::make_replica(
+      options.consensus_engine, cfg, network_.simulator(),
+      [this, instance, members](std::uint32_t dest, const bft::PbftMessage& msg) {
+        PbftEnvelope envelope{instance, state_.epoch(), msg};
+        send_to_controller(members[dest], CurbMessage{std::move(envelope)});
+      },
+      [this, instance](std::uint64_t, const std::vector<std::uint8_t>& payload) {
+        if (instance == PbftEnvelope::kFinalInstance) {
+          on_final_committed(payload);
+        } else {
+          on_intra_committed(instance, payload);
+        }
+      });
+}
+
 void Controller::retire_final_replica() {
-  if (final_replica_ == nullptr) return;
+  if (committee_.replica == nullptr) return;
   // The committee change that retires this replica is often COMMITTED BY this
   // replica: rebuild_replicas() runs inside its deliver_ callback, with its
   // try_execute() frame still on the stack. Destroying it here is a
   // use-after-free, so park it on the event queue and let it die only after
-  // the stack unwinds (same lifetime discipline as retired_replicas_).
+  // the stack unwinds.
   network_.simulator().schedule(
       sim::SimTime::zero(),
-      [doomed = std::shared_ptr<bft::ConsensusReplica>(std::move(final_replica_))] {});
-  final_replica_ = nullptr;
+      [doomed = std::shared_ptr<bft::ConsensusReplica>(std::move(committee_.replica))] {});
 }
 
 void Controller::set_behavior(bft::Behavior behavior) { behavior_ = behavior; }
@@ -257,39 +229,31 @@ void Controller::set_lazy_range(sim::SimTime lo, sim::SimTime hi) {
 }
 
 void Controller::set_replica_behavior(bft::Behavior behavior) {
-  for (auto& [instance, replica] : replicas_) replica->set_behavior(behavior);
-  for (auto& [instance, replica] : retired_replicas_) replica->set_behavior(behavior);
-  if (final_replica_ != nullptr) final_replica_->set_behavior(behavior);
+  for (auto& [id, instance] : instances_) {
+    if (instance.replica != nullptr) instance.replica->set_behavior(behavior);
+  }
+  if (committee_.replica != nullptr) committee_.replica->set_behavior(behavior);
 }
 
 void Controller::crash() {
   if (crashed_) return;
   crashed_ = true;
   // Drop every piece of volatile state. Timers already in the simulator
-  // queue fire against the cleared maps and no-op; the explicit handles we
-  // hold are cancelled so they cannot re-arm anything.
-  auto& sim = network_.simulator();
-  for (auto& [instance, handle] : reass_window_timer_) sim.cancel(handle);
-  reass_window_timer_.clear();
-  replicas_.clear();
-  retired_replicas_.clear();
-  final_replica_.reset();
-  final_committee_cache_.clear();
+  // queue fire against the cleared tables and no-op; the RE-ASS window
+  // timers are cancelled so they cannot re-arm anything.
+  for (auto& [id, instance] : instances_) {
+    network_.simulator().cancel(instance.reass_window.timer);
+  }
+  instances_.clear();
+  committee_ = {};
   known_instances_.clear();
   blockchain_.reset();
-  request_buffer_.clear();
-  reass_window_.clear();
   handled_requests_.clear();
   committed_requests_.clear();
-  pending_requests_.clear();
-  agree_votes_.clear();
-  block_buffer_.clear();
   ever_committee_.clear();
   orphan_agrees_.clear();
-  final_proposal_in_flight_ = false;
   final_agree_votes_.clear();
   applied_blocks_.clear();
-  outstanding_tx_.clear();
   policy_table_ = {};
   // A restarted process comes back honest; whatever misbehaviour was
   // injected died with it.
@@ -309,9 +273,7 @@ void Controller::restart_from(const chain::Blockchain& donor) {
   blockchain_ = std::make_unique<chain::Blockchain>(donor.shared_at(0));
   blockchain_->set_observatory(network_.observatory(), "ctrl-" + std::to_string(id_));
   state_ = network_.genesis_state();
-  for (const GroupInfo& g : state_.groups()) {
-    known_instances_[AssignmentState::instance_id_of(g.members)] = g.members;
-  }
+  remember_instances(state_);
   for (std::uint64_t h = 1; h <= donor.height(); ++h) {
     const chain::Block& block = donor.at(h);
     if (blockchain_->append(donor.shared_at(h))) break;  // donor chain broken: stop here
@@ -319,23 +281,10 @@ void Controller::restart_from(const chain::Blockchain& donor) {
     for (const chain::Transaction& tx : block.transactions()) {
       committed_requests_.insert({tx.switch_id(), tx.request_id()});
       if (tx.type() == chain::RequestType::kReassign) {
-        AssignmentState next;
-        try {
-          next = AssignmentState::deserialize(tx.config());
-        } catch (const std::exception&) {
-          continue;
-        }
-        for (const GroupInfo& g : next.groups()) {
-          known_instances_[AssignmentState::instance_id_of(g.members)] = g.members;
-        }
-        if (next.epoch() <= state_.epoch()) continue;
-        const auto& cur_byz = state_.byzantine();
-        const auto& new_byz = next.byzantine();
-        const bool monotone = std::all_of(
-            cur_byz.begin(), cur_byz.end(), [&new_byz](std::uint32_t b) {
-              return std::binary_search(new_byz.begin(), new_byz.end(), b);
-            });
-        if (monotone) state_ = next;
+        std::optional<AssignmentState> next = carried_assignment(tx);
+        if (!next) continue;
+        remember_instances(*next);
+        if (supersedes(*next)) state_ = std::move(*next);
       } else if (tx.type() == chain::RequestType::kPolicyUpdate) {
         apply_policy_update(tx);
       }
@@ -418,11 +367,18 @@ void Controller::broadcast_to_controllers(
 }
 
 bft::ConsensusReplica* Controller::replica_for(std::uint32_t instance) {
-  if (instance == PbftEnvelope::kFinalInstance) return final_replica_.get();
-  const auto it = replicas_.find(instance);
-  if (it != replicas_.end()) return it->second.get();
-  const auto retired = retired_replicas_.find(instance);
-  return retired == retired_replicas_.end() ? nullptr : retired->second.get();
+  if (instance == PbftEnvelope::kFinalInstance) return committee_.replica.get();
+  const auto it = instances_.find(instance);
+  return it == instances_.end() ? nullptr : it->second.replica.get();
+}
+
+std::optional<std::uint32_t> Controller::first_led_instance() const {
+  for (const auto& [id, instance] : instances_) {
+    if (instance.replica != nullptr && !instance.retired && instance.replica->is_leader()) {
+      return id;
+    }
+  }
+  return std::nullopt;
 }
 
 void Controller::on_message(net::NodeId /*from*/, const CurbMessage& msg) {
@@ -465,15 +421,10 @@ std::uint64_t Controller::submit_policy(const sdn::PolicyRule& rule, PolicyOp op
 
   // A leader funnels the update into one of its groups; a non-leader hands
   // it to the leader of its first group.
-  for (auto& [instance, replica] : replicas_) {
-    if (replica->is_leader()) {
-      handle_request_as_leader(instance, request);
-      return request_id;
-    }
-  }
-  if (!replicas_.empty()) {
-    const std::uint32_t gid = state_.groups_of_controller(id_).front();
-    send_to_controller(state_.group(gid).leader, CurbMessage{request});
+  if (const auto led = first_led_instance()) {
+    handle_request_as_leader(*led, request);
+  } else if (const auto groups = state_.groups_of_controller(id_); !groups.empty()) {
+    send_to_controller(state_.group(groups.front()).leader, CurbMessage{request});
   }
   return request_id;
 }
@@ -502,12 +453,7 @@ void Controller::on_request(const sdn::RequestMsg& request) {
   if (request.type == chain::RequestType::kPolicyUpdate) {
     // Northbound update forwarded by a peer: sequence it through a group
     // this controller leads.
-    for (auto& [instance, replica] : replicas_) {
-      if (replica->is_leader()) {
-        handle_request_as_leader(instance, request);
-        return;
-      }
-    }
+    if (const auto led = first_led_instance()) handle_request_as_leader(*led, request);
     return;
   }
   if (request.switch_id >= state_.assignment().num_switches()) return;
@@ -520,7 +466,7 @@ void Controller::on_request(const sdn::RequestMsg& request) {
   if (committed_requests_.contains(key)) return;
 
   const std::uint32_t instance = state_.instance_of_group(gid);
-  pending_requests_[instance].emplace(key, request);
+  instances_[instance].pending.emplace(key, request);
   arm_request_watchdog(instance, request);
 
   bft::ConsensusReplica* replica = replica_for(instance);
@@ -534,7 +480,6 @@ void Controller::handle_request_as_leader(std::uint32_t instance,
   const RequestKey key{request.switch_id, request.request_id};
   if (handled_requests_.contains(key)) return;  // reqBuffer dedup (Alg. 2 line 7)
   handled_requests_.insert(key);
-  ++stats_.requests_handled;
   compute_config_and_buffer(instance, request);
 }
 
@@ -555,12 +500,12 @@ void Controller::compute_config_and_buffer(std::uint32_t instance,
 
 void Controller::buffer_transaction(std::uint32_t instance, const sdn::RequestMsg& request,
                                     std::vector<std::uint8_t> config) {
-  if (replica_for(instance) == nullptr) return;  // group dissolved meanwhile
+  const auto it = instances_.find(instance);
+  if (it == instances_.end() || it->second.replica == nullptr) return;  // expired meanwhile
   chain::Transaction tx{request.type, request.switch_id, id_, request.request_id,
                         std::move(config)};
   if (network_.options().verify_signatures) tx.sign(key_);
-  ++stats_.tx_created;
-  request_buffer_[instance].push_back(std::move(tx));
+  it->second.request_buffer.push_back(std::move(tx));
   flush_request_buffer(instance);
 }
 
@@ -569,7 +514,7 @@ void Controller::handle_reassign_request(std::uint32_t instance,
   // RE-ASS accusations arriving within the aggregation window are merged
   // into one OP() solve (paper exp. 2: three byzantine nodes removed by
   // calculating OP once).
-  auto& window = reass_window_[instance];
+  ReassWindow& window = instances_[instance].reass_window;
   window.requests.push_back(request);
   std::vector<std::uint32_t> accused_ids;
   try {
@@ -580,20 +525,17 @@ void Controller::handle_reassign_request(std::uint32_t instance,
   for (const std::uint32_t accused : accused_ids) {
     if (accused < state_.assignment().num_controllers()) window.accused.push_back(accused);
   }
-  if (!reass_window_timer_.contains(instance)) {
-    reass_window_timer_[instance] = network_.simulator().schedule(
-        network_.options().reass_aggregation_delay, [this, instance] {
-          reass_window_timer_.erase(instance);
-          flush_reass_window(instance);
-        });
+  if (!window.timer.valid()) {
+    window.timer = network_.simulator().schedule(
+        network_.options().reass_aggregation_delay,
+        [this, instance] { flush_reass_window(instance); });
   }
 }
 
 void Controller::flush_reass_window(std::uint32_t instance) {
-  const auto it = reass_window_.find(instance);
-  if (it == reass_window_.end()) return;
-  ReassWindow window = std::move(it->second);
-  reass_window_.erase(it);
+  const auto it = instances_.find(instance);
+  if (it == instances_.end()) return;
+  ReassWindow window = std::exchange(it->second.reass_window, {});
   if (window.requests.empty()) return;
 
   // Algorithm 2 lines 15-18: merge the accused ids with the known byzantine
@@ -662,24 +604,19 @@ std::vector<std::uint8_t> Controller::compute_packet_in_config(
 }
 
 void Controller::flush_request_buffer(std::uint32_t instance) {
-  auto it = request_buffer_.find(instance);
-  if (it == request_buffer_.end() || it->second.empty()) return;
-  bft::ConsensusReplica* replica = replica_for(instance);
-  if (replica == nullptr || !replica->is_leader()) return;
+  const auto it = instances_.find(instance);
+  if (it == instances_.end()) return;
+  Instance& record = it->second;
+  if (record.request_buffer.empty()) return;
+  if (record.replica == nullptr || !record.replica->is_leader()) return;
 
   // Non-parallel mode: wait until this group's previous txList is on-chain
   // (intra-group consensus and final consensus never overlap for a group).
-  if (!network_.options().parallel) {
-    const auto out = outstanding_tx_.find(instance);
-    if (out != outstanding_tx_.end() && !out->second.empty()) return;  // resumes at apply
-  }
+  if (!network_.options().parallel && !record.outstanding.empty()) return;  // resumes at apply
 
-  std::vector<chain::Transaction> txs = std::move(it->second);
-  request_buffer_.erase(it);
-  for (const auto& tx : txs) outstanding_tx_[instance].insert(tx.id());
-  auto payload = serialize_tx_list(txs);
-  ++stats_.tx_lists_proposed;
-  replica->propose(std::move(payload));
+  const std::vector<chain::Transaction> txs = std::exchange(record.request_buffer, {});
+  for (const auto& tx : txs) record.outstanding.insert(tx.id());
+  record.replica->propose(serialize_tx_list(txs));
 }
 
 // --- Step 2 -> 3: intra-group consensus completes -----------------------------
@@ -737,7 +674,7 @@ void Controller::on_agree(const AgreeMsg& agree) {
   if (network_.options().verify_signatures && !network_.tx_list_signed(digest, agree.tx_list)) {
     return;
   }
-  AgreeTally& tally = agree_votes_[AgreeKey{agree.instance, digest}];
+  AgreeTally& tally = committee_.agree_votes[AgreeKey{agree.instance, digest}];
   tally.votes.insert(agree.sender_controller);
   // f+1 matching AGREEs guarantee one honest group member vouches.
   if (tally.votes.size() < state_.f() + 1 || tally.buffered) return;
@@ -756,19 +693,19 @@ void Controller::on_agree(const AgreeMsg& agree) {
   } catch (const std::exception&) {
     // Kept undecoded: a malformed txList must not take the leader down.
   }
-  block_buffer_.push_back(std::move(confirmed));
+  committee_.block_buffer.push_back(std::move(confirmed));
   flush_block_buffer();
 }
 
 void Controller::flush_block_buffer() {
-  if (block_buffer_.empty()) return;
-  if (final_replica_ == nullptr || !final_replica_->is_leader()) return;
-  if (final_proposal_in_flight_) return;  // resumes when the block lands
+  if (committee_.block_buffer.empty()) return;
+  if (committee_.replica == nullptr || !committee_.replica->is_leader()) return;
+  if (committee_.proposal_in_flight) return;  // resumes when the block lands
   // Algorithm 3 line 19: serialize all buffered txLists into block B_h,
   // skipping transactions that already reached the chain.
   std::vector<chain::Transaction> txs;
   std::unordered_set<crypto::Hash256, crypto::DigestHash> seen;
-  for (ConfirmedTxList& confirmed : block_buffer_) {
+  for (ConfirmedTxList& confirmed : committee_.block_buffer) {
     if (!confirmed.txs) continue;  // undecodable
     for (chain::Transaction& tx : *confirmed.txs) {
       const crypto::Hash256& id = tx.id();
@@ -777,7 +714,7 @@ void Controller::flush_block_buffer() {
       }
     }
   }
-  block_buffer_.clear();
+  committee_.block_buffer.clear();
   if (txs.empty()) return;
 
   const chain::Block block = chain::Block::create(
@@ -797,8 +734,8 @@ void Controller::flush_block_buffer() {
          {"txns", txns_attr(block.transactions())}});
   }
   ++stats_.blocks_proposed;
-  final_proposal_in_flight_ = true;
-  final_replica_->propose(std::move(block_bytes));
+  committee_.proposal_in_flight = true;
+  committee_.replica->propose(std::move(block_bytes));
 }
 
 // --- Step 3 -> 4: final consensus completes -----------------------------------
@@ -824,30 +761,19 @@ void Controller::on_final_agree(const FinalAgreeMsg& msg) {
     return;  // malformed
   }
   if (applied_blocks_.contains(hash)) return;
-  // Decode and Merkle check run once per network for every controller; a
-  // corrupted copy that keeps the header is checked on its own.
-  std::shared_ptr<const chain::Block> block = network_.validated_block(hash, msg.block);
-  if (block == nullptr) return;  // malformed, or the Merkle root does not match
-  // Only a byte-identical copy is served the tally's block object, and it
-  // gets the same verdict; any other copy is looked up in the network's
-  // signature memo by the digest of its bytes.
-  auto tally = final_agree_votes_.find(hash);
-  if (tally == final_agree_votes_.end() || tally->second.block != block) {
-    if (network_.options().verify_signatures &&
-        !network_.block_signed(bft::payload_digest(msg.block), *block)) {
-      return;  // forged transaction inside the block: never vote for it
-    }
-    tally = final_agree_votes_.try_emplace(hash).first;
-    tally->second.block = std::move(block);
-  }
-  tally->second.votes.insert(msg.sender_controller);
+  // Decode, Merkle check and (with verify_signatures) the signature check
+  // run once per network for every controller; a corrupted copy that keeps
+  // the header is checked on its own.
+  const std::shared_ptr<const chain::Block> block = network_.validated_block(hash, msg.block);
+  if (block == nullptr) return;  // malformed, Merkle mismatch or forged transaction
+  const auto tally = final_agree_votes_.try_emplace(hash).first;
+  tally->second.insert(msg.sender_controller);
   // Algorithm 3 line 27: f+1 matching FINAL-AGREE confirm validity.
-  if (tally->second.votes.size() < state_.f() + 1) return;
+  if (tally->second.size() < state_.f() + 1) return;
   applied_blocks_.insert(hash);
   // apply_block can re-enter on_final_agree, so the tally goes first.
-  const std::shared_ptr<const chain::Block> applied = std::move(tally->second.block);
   final_agree_votes_.erase(tally);
-  apply_block(applied);
+  apply_block(block);
 }
 
 void Controller::apply_block(const std::shared_ptr<const chain::Block>& shared) {
@@ -856,22 +782,20 @@ void Controller::apply_block(const std::shared_ptr<const chain::Block>& shared) 
   if (obs::Observatory* obsy = network_.observatory(); obsy != nullptr) {
     obsy->tracer.end_keyed(stage_key(PbftEnvelope::kFinalInstance, block.hash()));
   }
-  ++stats_.blocks_committed;
   // Clear per-group outstanding transactions and resume groups gated by
   // non-parallel mode.
   for (const chain::Transaction& tx : block.transactions()) {
     const auto tx_id = tx.id();
-    for (auto& [instance, outstanding] : outstanding_tx_) {
-      if (outstanding.erase(tx_id) > 0 && outstanding.empty()) {
-        network_.simulator().schedule(sim::SimTime::zero(), [this, instance = instance] {
-          flush_request_buffer(instance);
-        });
+    for (auto& [id, instance] : instances_) {
+      if (instance.outstanding.erase(tx_id) > 0 && instance.outstanding.empty()) {
+        network_.simulator().schedule(sim::SimTime::zero(),
+                                      [this, id = id] { flush_request_buffer(id); });
       }
     }
   }
   // Drop buffered txLists fully covered by the chain (every member buffers;
   // this is the non-leader's drain path) and undecodable ones.
-  std::erase_if(block_buffer_, [&](const ConfirmedTxList& confirmed) {
+  std::erase_if(committee_.block_buffer, [&](const ConfirmedTxList& confirmed) {
     if (!confirmed.txs) return true;
     return std::all_of(confirmed.txs->begin(), confirmed.txs->end(),
                        [&](const chain::Transaction& tx) {
@@ -879,9 +803,9 @@ void Controller::apply_block(const std::shared_ptr<const chain::Block>& shared) 
                        });
   });
   // The final leader may now seal the next block.
-  final_proposal_in_flight_ = false;
-  if (!block_buffer_.empty() && final_replica_ != nullptr &&
-      final_replica_->is_leader()) {
+  committee_.proposal_in_flight = false;
+  if (!committee_.block_buffer.empty() && committee_.replica != nullptr &&
+      committee_.replica->is_leader()) {
     network_.simulator().schedule(sim::SimTime::zero(), [this] { flush_block_buffer(); });
   }
 
@@ -893,20 +817,27 @@ void Controller::apply_block(const std::shared_ptr<const chain::Block>& shared) 
   // (the byzantine set grows monotonically, guaranteeing progress).
   std::vector<const chain::Transaction*> reply_list;
   for (const chain::Transaction& tx : block.transactions()) {
-    const RequestKey key{tx.switch_id(), tx.request_id()};
-    bool resolved = true;
+    // Accusations the adopted assignment has not absorbed.
+    std::vector<std::uint32_t> unresolved;
     if (tx.type() == chain::RequestType::kReassign) {
-      apply_reassignment(tx, block.header().height);
-      resolved = reassignment_resolved(tx);
+      if (std::optional<AssignmentState> proposed = carried_assignment(tx)) {
+        if (supersedes(*proposed)) {
+          adopt(std::move(*proposed), tx.switch_id(), block.header().height);
+        } else {
+          std::ranges::set_difference(proposed->byzantine(), state_.byzantine(),
+                                      std::back_inserter(unresolved));
+        }
+      }
     } else if (tx.type() == chain::RequestType::kPolicyUpdate) {
       apply_policy_update(tx);
     }
-    if (resolved) {
+    if (unresolved.empty()) {
+      const RequestKey key{tx.switch_id(), tx.request_id()};
       committed_requests_.insert(key);
-      for (auto& [instance, pending] : pending_requests_) pending.erase(key);
+      for (auto& [id, instance] : instances_) instance.pending.erase(key);
       reply_list.push_back(&tx);
     } else {
-      rehandle_stale_reassignment(tx);
+      rehandle_stale_reassignment(tx, unresolved);
     }
   }
   // Second pass: REPLY to the requesting switches (Algorithm 3 line 30).
@@ -915,74 +846,34 @@ void Controller::apply_block(const std::shared_ptr<const chain::Block>& shared) 
   }
 }
 
-bool Controller::reassignment_resolved(const chain::Transaction& tx) const {
-  AssignmentState proposed;
-  try {
-    proposed = AssignmentState::deserialize(tx.config());
-  } catch (const std::exception&) {
-    return true;  // malformed: nothing actionable
-  }
-  const auto& current = state_.byzantine();
-  for (const std::uint32_t accused : proposed.byzantine()) {
-    if (!std::binary_search(current.begin(), current.end(), accused)) return false;
-  }
-  return true;
+bool Controller::supersedes(const AssignmentState& next) const {
+  // A config computed from an older snapshot may not cover the current
+  // byzantine set; adopting it would resurrect an excluded controller. Both
+  // lists are sorted (AssignmentState::build).
+  return next.epoch() > state_.epoch() &&
+         std::ranges::includes(next.byzantine(), state_.byzantine());
 }
 
-void Controller::rehandle_stale_reassignment(const chain::Transaction& tx) {
+void Controller::rehandle_stale_reassignment(const chain::Transaction& tx,
+                                             const std::vector<std::uint32_t>& unresolved) {
   if (tx.switch_id() >= state_.assignment().num_switches()) return;
-  const std::uint32_t gid = state_.group_of_switch(tx.switch_id());
-  const GroupInfo& group = state_.group(gid);
-  const std::uint32_t instance = state_.instance_of_group(gid);
+  const std::uint32_t instance = state_.instance_of_group(state_.group_of_switch(tx.switch_id()));
   bft::ConsensusReplica* replica = replica_for(instance);
   if (replica == nullptr || !replica->is_leader()) return;
-
-  // Reconstruct the unresolved accusations and run them through the normal
-  // leader path with the original request identity (the switch's pending
-  // request, if still open, matches replies by that id).
-  AssignmentState proposed;
-  try {
-    proposed = AssignmentState::deserialize(tx.config());
-  } catch (const std::exception&) {
-    return;
-  }
-  std::vector<std::uint32_t> unresolved;
-  const auto& current = state_.byzantine();
-  for (const std::uint32_t accused : proposed.byzantine()) {
-    if (!std::binary_search(current.begin(), current.end(), accused)) {
-      unresolved.push_back(accused);
-    }
-  }
-  if (unresolved.empty()) return;
-  (void)group;
+  // Run the unresolved accusations through the normal leader path with the
+  // original request identity (the switch's pending request, if still open,
+  // matches replies by that id).
   sdn::RequestMsg request{chain::RequestType::kReassign, tx.switch_id(), tx.request_id(),
                           serialize_id_list(unresolved)};
   handle_reassign_request(instance, request);
 }
 
-void Controller::apply_reassignment(const chain::Transaction& tx, std::uint64_t height) {
-  AssignmentState next;
-  try {
-    next = AssignmentState::deserialize(tx.config());
-  } catch (const std::exception&) {
-    return;  // malformed config: ignore (consensus guaranteed honest majority)
-  }
-  if (next.epoch() <= state_.epoch()) return;  // stale
-  // Monotonicity guard: adopting an assignment whose byzantine set does not
-  // cover the current one would resurrect an excluded controller (the TX
-  // was computed from an older snapshot). Such a TX is left unadopted; the
-  // resolved/rehandle logic in apply_block merges its accusations instead.
-  const auto& cur_byz = state_.byzantine();
-  const auto& new_byz = next.byzantine();
-  for (const std::uint32_t b : cur_byz) {
-    if (!std::binary_search(new_byz.begin(), new_byz.end(), b)) return;
-  }
-  const AssignmentState old_state = state_;
-  state_ = next;
+void Controller::adopt(AssignmentState next, std::uint32_t requester, std::uint64_t height) {
+  const AssignmentState old_state = std::exchange(state_, std::move(next));
   if (obs::Observatory* obsy = network_.observatory(); obsy != nullptr) {
     obsy->metrics.counter("core.epoch_adoptions").inc();
     obsy->tracer.instant("epoch_adopt", "ctrl-" + std::to_string(id_),
-                         {{"epoch", std::to_string(next.epoch())}});
+                         {{"epoch", std::to_string(state_.epoch())}});
     network_.record_assignment_metrics(state_);
   }
   rebuild_replicas();
@@ -990,37 +881,35 @@ void Controller::apply_reassignment(const chain::Transaction& tx, std::uint64_t 
   // Re-route pending (uncommitted) requests to the new group structure: a
   // request stranded in a dissolved group must reach the NEW leader of its
   // switch's group, or it would only resolve through switch-side retries.
-  {
-    std::map<std::uint32_t, std::map<RequestKey, sdn::RequestMsg>> moved;
-    std::vector<std::pair<std::uint32_t, sdn::RequestMsg>> to_rehandle;
-    for (auto& [old_instance, requests] : pending_requests_) {
-      for (auto& [key, request] : requests) {
-        if (request.switch_id >= state_.assignment().num_switches()) continue;
-        const std::uint32_t gid = state_.group_of_switch(request.switch_id);
-        const GroupInfo& group = state_.group(gid);
-        if (std::find(group.members.begin(), group.members.end(), id_) ==
-            group.members.end()) {
-          continue;  // no longer responsible for this switch
-        }
-        const std::uint32_t instance = state_.instance_of_group(gid);
-        moved[instance].emplace(key, request);
-        if (instance != old_instance) to_rehandle.push_back({instance, request});
+  std::map<std::uint32_t, std::map<RequestKey, sdn::RequestMsg>> moved;
+  std::vector<std::pair<std::uint32_t, sdn::RequestMsg>> to_rehandle;
+  for (auto& [old_id, instance] : instances_) {
+    for (auto& [key, request] : instance.pending) {
+      if (request.switch_id >= state_.assignment().num_switches()) continue;
+      const std::uint32_t gid = state_.group_of_switch(request.switch_id);
+      const GroupInfo& group = state_.group(gid);
+      if (std::find(group.members.begin(), group.members.end(), id_) == group.members.end()) {
+        continue;  // no longer responsible for this switch
       }
+      const std::uint32_t id = state_.instance_of_group(gid);
+      moved[id].emplace(key, request);
+      if (id != old_id) to_rehandle.push_back({id, request});
     }
-    pending_requests_ = std::move(moved);
-    for (auto& [instance, request] : to_rehandle) {
-      bft::ConsensusReplica* replica = replica_for(instance);
-      if (replica == nullptr || !replica->is_leader()) continue;
-      // Allow re-handling even if this node handled it under the old group.
-      handled_requests_.erase(RequestKey{request.switch_id, request.request_id});
-      handle_request_as_leader(instance, request);
-    }
+    instance.pending.clear();
+  }
+  for (auto& [id, requests] : moved) instances_[id].pending = std::move(requests);
+  for (auto& [id, request] : to_rehandle) {
+    bft::ConsensusReplica* replica = replica_for(id);
+    if (replica == nullptr || !replica->is_leader()) continue;
+    // Allow re-handling even if this node handled it under the old group.
+    handled_requests_.erase(RequestKey{request.switch_id, request.request_id});
+    handle_request_as_leader(id, request);
   }
 
   // Push group updates to switches whose group changed and where this
   // controller now serves (the requesting switch gets a REPLY separately).
   for (std::uint32_t sw = 0; sw < state_.assignment().num_switches(); ++sw) {
-    if (sw == tx.switch_id()) continue;
+    if (sw == requester) continue;
     const GroupInfo& new_group = state_.group(state_.group_of_switch(sw));
     const bool is_member =
         std::find(new_group.members.begin(), new_group.members.end(), id_) !=
@@ -1052,7 +941,6 @@ void Controller::send_replies_for(const chain::Transaction& tx) {
     config[0] ^= 0xff;  // byzantine: feed the switch a corrupted config
   }
   ReplyMsg reply{id_, sw, tx.request_id(), std::move(config)};
-  ++stats_.replies_sent;
   send(network_.switch_topo_node(sw), CurbMessage{std::move(reply)});
 }
 
@@ -1063,8 +951,8 @@ void Controller::arm_request_watchdog(std::uint32_t instance,
   const RequestKey key{request.switch_id, request.request_id};
   network_.simulator().schedule(
       network_.options().pbft_timeout, [this, instance, key] {
-        const auto git = pending_requests_.find(instance);
-        if (git == pending_requests_.end() || !git->second.contains(key)) return;
+        const auto it = instances_.find(instance);
+        if (it == instances_.end() || !it->second.pending.contains(key)) return;
         // The request is still unserved: depose the group leader.
         bft::ConsensusReplica* replica = replica_for(instance);
         if (replica != nullptr && !replica->is_leader()) replica->force_view_change();
@@ -1074,9 +962,7 @@ void Controller::arm_request_watchdog(std::uint32_t instance,
 void Controller::rehandle_pending(std::uint32_t instance) {
   bft::ConsensusReplica* replica = replica_for(instance);
   if (replica == nullptr || !replica->is_leader()) return;
-  const auto git = pending_requests_.find(instance);
-  if (git == pending_requests_.end()) return;
-  for (const auto& [key, request] : git->second) {
+  for (const auto& [key, request] : instances_.at(instance).pending) {
     handle_request_as_leader(instance, request);
   }
 }

@@ -89,12 +89,7 @@ class Controller {
   [[nodiscard]] const sdn::PolicyTable& policy_table() const { return policy_table_; }
 
   struct Stats {
-    std::uint64_t requests_handled = 0;
-    std::uint64_t tx_created = 0;
-    std::uint64_t tx_lists_proposed = 0;
     std::uint64_t blocks_proposed = 0;
-    std::uint64_t blocks_committed = 0;
-    std::uint64_t replies_sent = 0;
     std::uint64_t op_solves = 0;
     double op_solve_time_ms_total = 0.0;
   };
@@ -116,6 +111,8 @@ class Controller {
   [[nodiscard]] std::vector<std::uint8_t> compute_packet_in_config(
       const sdn::RequestMsg& request) const;
   void flush_request_buffer(std::uint32_t instance);
+  /// The first live instance this controller leads, if any.
+  [[nodiscard]] std::optional<std::uint32_t> first_led_instance() const;
 
   // --- consensus plumbing (Algorithm 3) ---
   void on_pbft_envelope(net::NodeId from, const PbftEnvelope& envelope);
@@ -125,10 +122,18 @@ class Controller {
   void on_final_committed(const std::vector<std::uint8_t>& payload);
   void on_final_agree(const FinalAgreeMsg& msg);
   void apply_block(const std::shared_ptr<const chain::Block>& block);
-  void apply_reassignment(const chain::Transaction& tx, std::uint64_t height);
-  [[nodiscard]] bool reassignment_resolved(const chain::Transaction& tx) const;
-  void rehandle_stale_reassignment(const chain::Transaction& tx);
+  /// Whether `next` supersedes the adopted assignment: a later epoch whose
+  /// byzantine set covers the current one.
+  [[nodiscard]] bool supersedes(const AssignmentState& next) const;
+  void adopt(AssignmentState next, std::uint32_t requester, std::uint64_t height);
+  void rehandle_stale_reassignment(const chain::Transaction& tx,
+                                   const std::vector<std::uint32_t>& unresolved);
+  void remember_instances(const AssignmentState& state);
   void rebuild_replicas();
+  /// A replica of `instance` (PbftEnvelope::kFinalInstance for the final
+  /// committee) over `members`, seated in the view `leader` leads.
+  [[nodiscard]] std::unique_ptr<bft::ConsensusReplica> build_replica(
+      std::uint32_t instance, const std::vector<std::uint32_t>& members, std::uint32_t leader);
   void retire_final_replica();
   void send_replies_for(const chain::Transaction& tx);
 
@@ -155,21 +160,7 @@ class Controller {
 
   AssignmentState state_;
   std::unique_ptr<chain::Blockchain> blockchain_;
-  /// Intra-group consensus replicas keyed by membership-stable instance id.
-  std::map<std::uint32_t, std::unique_ptr<bft::ConsensusReplica>> replicas_;
-  /// Replicas of groups replaced by a reassignment, kept for a grace period
-  /// so in-flight consensus can still land on the chain (where stale
-  /// reassignments are re-handled) instead of being silently destroyed.
-  std::map<std::uint32_t, std::unique_ptr<bft::ConsensusReplica>> retired_replicas_;
-  /// Every (instance -> members) this controller has ever adopted; lets
-  /// final-committee members validate AGREEs from recently retired groups.
-  std::map<std::uint32_t, std::vector<std::uint32_t>> known_instances_;
-  std::unique_ptr<bft::ConsensusReplica> final_replica_;
-  /// Committee the final replica was built for (kept across reassignments
-  /// while the committee is unchanged).
-  std::vector<std::uint32_t> final_committee_cache_;
 
-  // Leader request buffers per group; dedup across the whole run.
   struct RequestKey {
     std::uint32_t switch_id;
     std::uint64_t request_id;
@@ -180,23 +171,43 @@ class Controller {
       return static_cast<std::size_t>(key.request_id * 0x9e3779b97f4a7c15ULL ^ key.switch_id);
     }
   };
-  std::map<std::uint32_t, std::vector<chain::Transaction>> request_buffer_;
   /// RE-ASS aggregation (one OP solve covers a burst of accusations).
   struct ReassWindow {
     std::vector<std::uint32_t> accused;
     std::vector<sdn::RequestMsg> requests;
+    sim::EventHandle timer;  // valid while the flush is scheduled
   };
-  std::map<std::uint32_t, ReassWindow> reass_window_;
-  std::map<std::uint32_t, sim::EventHandle> reass_window_timer_;
+  /// One consensus instance of a group this controller belongs to, or
+  /// belonged to until an adopted reassignment dissolved it.
+  struct Instance {
+    /// Null only in what an expired instance leaves behind: `outstanding`.
+    std::unique_ptr<bft::ConsensusReplica> replica;
+    /// The group was dissolved: the replica still consumes the instance's
+    /// traffic for a grace period, so in-flight consensus can land on the
+    /// chain (where stale reassignments are re-handled) instead of being
+    /// silently destroyed. A membership that returns within it resumes it.
+    bool retired = false;
+    std::vector<chain::Transaction> request_buffer;  // the leader's reqBuffer
+    /// Requests not yet served, for the watchdog and for re-handling after
+    /// a view change.
+    std::map<RequestKey, sdn::RequestMsg> pending;
+    ReassWindow reass_window;
+    /// Ids of the transactions proposed through this instance that are not
+    /// yet on chain. Non-parallel mode (paper Fig. 4(c)) waits for the set
+    /// to empty before proposing again; in both modes apply_block schedules a
+    /// flush of the request buffer when it empties. It outlives the replica,
+    /// because those proposals may still reach the chain.
+    std::unordered_set<crypto::Hash256, crypto::DigestHash> outstanding;
+  };
+  std::map<std::uint32_t, Instance> instances_;
+  /// Every (instance -> members) this controller has ever adopted; lets
+  /// final-committee members validate AGREEs from recently retired groups.
+  std::map<std::uint32_t, std::vector<std::uint32_t>> known_instances_;
   // Containers that are only probed (never iterated) are hashed; those whose
   // iteration order can reach the event queue stay ordered.
   std::unordered_set<RequestKey, RequestKeyHash> handled_requests_;   // leader-side dedup
   std::unordered_set<RequestKey, RequestKeyHash> committed_requests_; // served (on-chain)
-  // Pending requests per group for watchdog / re-handling after view change.
-  std::map<std::uint32_t, std::map<RequestKey, sdn::RequestMsg>> pending_requests_;
 
-  // Final-committee AGREE quorum tracking: (instance, txList digest) ->
-  // senders, and whether the confirmed txList has been buffered.
   struct AgreeKey {
     std::uint32_t instance;
     crypto::Hash256 digest;
@@ -211,7 +222,6 @@ class Controller {
     bft::VoteSet votes;
     bool buffered = false;
   };
-  std::unordered_map<AgreeKey, AgreeTally, AgreeKeyHash> agree_votes_;
   /// A confirmed-but-not-yet-on-chain txList, tagged with its instance so it
   /// can be re-AGREEd to a new committee after a membership change. Decoded
   /// once, at AGREE quorum. `txs` is absent when the bytes do not decode:
@@ -222,7 +232,25 @@ class Controller {
     std::vector<std::uint8_t> bytes;
     std::optional<std::vector<chain::Transaction>> txs;
   };
-  std::vector<ConfirmedTxList> block_buffer_;
+  /// The final layer while this controller serves on the final committee;
+  /// leaving the committee resets it whole.
+  struct Committee {
+    /// Preserved while the committee is unchanged.
+    std::unique_ptr<bft::ConsensusReplica> replica;
+    /// The committee the replica was built for; empty outside it.
+    std::vector<std::uint32_t> members;
+    /// AGREE quorum tracking: (instance, txList digest) -> senders, and
+    /// whether the confirmed txList has been buffered. Kept across committee
+    /// changes, as is the buffer: every member buffers confirmed txLists,
+    /// so whoever leads next can drain what has not reached the chain.
+    std::unordered_map<AgreeKey, AgreeTally, AgreeKeyHash> agree_votes;
+    std::vector<ConfirmedTxList> block_buffer;
+    /// Final leader: a proposed block not yet on the chain. Proposals are
+    /// serialized — two in-flight blocks would claim the same height and the
+    /// loser's transactions would be dropped by every replica.
+    bool proposal_in_flight = false;
+  };
+  Committee committee_;
   /// Controllers that have ever served on the final committee (monotone);
   /// AGREEs from them are accepted so committee handovers can forward
   /// their confirmed backlog.
@@ -230,30 +258,11 @@ class Controller {
   /// AGREEs for instances this node has not adopted yet (it may simply be
   /// behind on block application); replayed after each epoch adoption.
   std::vector<std::pair<sim::SimTime, AgreeMsg>> orphan_agrees_;
-  /// Final leader: a proposed block not yet on the chain. Proposals are
-  /// serialized — two in-flight blocks would claim the same height and the
-  /// loser's transactions would be dropped by every replica.
-  bool final_proposal_in_flight_ = false;
 
-  /// FINAL-AGREE quorum tracking per block hash: the senders, and the block
-  /// of the last copy that passed validation, as CurbNetwork::validated_block
-  /// served it. The network serves one block object only for byte-identical
-  /// copies, so a copy served this object is counted without its signatures
-  /// being checked again.
-  struct FinalAgreeTally {
-    bft::VoteSet votes;
-    std::shared_ptr<const chain::Block> block;
-  };
-  std::unordered_map<crypto::Hash256, FinalAgreeTally, crypto::DigestHash> final_agree_votes_;
+  /// FINAL-AGREE senders per block hash. CurbNetwork::validated_block
+  /// vets every copy, so a tally counts only copies that passed.
+  std::unordered_map<crypto::Hash256, bft::VoteSet, crypto::DigestHash> final_agree_votes_;
   std::unordered_set<crypto::Hash256, crypto::DigestHash> applied_blocks_;
-  /// Non-parallel mode (paper Fig. 4(c)): a group must see its previous
-  /// txList reach the chain before proposing the next one. Tracks the tx
-  /// ids each instance has proposed that are not yet on-chain. Written in
-  /// both modes: apply_block schedules a flush of the request buffer when an
-  /// instance's set empties, and those flushes are events in parallel mode
-  /// too.
-  std::map<std::uint32_t, std::unordered_set<crypto::Hash256, crypto::DigestHash>>
-      outstanding_tx_;
 
   sdn::PolicyTable policy_table_;
   std::uint64_t next_policy_request_ = 1;

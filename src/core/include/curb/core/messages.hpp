@@ -14,12 +14,16 @@
 namespace curb::core {
 
 /// PBFT traffic tagged with the consensus instance it belongs to.
-/// `instance` is a group id for Intra-PBFT or kFinalInstance for Final-PBFT.
+/// `instance` is the membership-stable instance id of a group
+/// (AssignmentState::instance_id_of) for Intra-PBFT, or kFinalInstance for
+/// Final-PBFT.
 struct PbftEnvelope {
   static constexpr std::uint32_t kFinalInstance = 0xffffffff;
   std::uint32_t instance = 0;
-  /// Epoch of the group structure this message belongs to; messages from
-  /// older epochs (pre-reassignment) are discarded.
+  /// The sender's adopted epoch when it sent the message. Nothing reads it:
+  /// routing uses `instance` only, so a final replica rebuilt for a new
+  /// committee also receives the previous committee's in-flight traffic. It
+  /// stays on the wire because its 8 bytes count in wire_size().
   std::uint64_t epoch = 0;
   bft::PbftMessage message;
 

@@ -105,13 +105,14 @@ class CurbNetwork {
   [[nodiscard]] const AssignmentState& genesis_state() const { return genesis_state_; }
   [[nodiscard]] const chain::Block& genesis_block() const { return *genesis_block_; }
 
-  /// The block serialized as `bytes`, decoded and Merkle-checked once per
-  /// network for all its controllers; nullptr if it does not decode or its
-  /// Merkle root does not match its transactions. `header_hash` is the hash
-  /// of the header `bytes` starts with. A copy is served from the cache only
-  /// if every byte equals the cached copy's, so a corrupted copy that keeps
-  /// the header is decoded and checked on its own. Signatures are not
-  /// checked here.
+  /// The block serialized as `bytes`, decoded and checked once per network
+  /// for all its controllers; nullptr if it does not decode, its Merkle root
+  /// does not match its transactions or, with options.verify_signatures, a
+  /// transaction is not signed by the controller it names. `header_hash` is
+  /// the hash of the header `bytes` starts with. A copy is served from the
+  /// cache, with the cached verdict, only if every byte equals the cached
+  /// copy's, so a corrupted copy that keeps the header (and so the block
+  /// hash: a transaction id leaves out the signature) is checked on its own.
   [[nodiscard]] std::shared_ptr<const chain::Block> validated_block(
       const crypto::Hash256& header_hash, std::span<const std::uint8_t> bytes);
 
@@ -123,10 +124,6 @@ class CurbNetwork {
   /// corrupted copy never shares the pristine copy's verdict.
   [[nodiscard]] bool tx_list_signed(const crypto::Hash256& digest,
                                     std::span<const std::uint8_t> payload);
-  /// The same for a block decoded from bytes whose payload_digest is
-  /// `digest`. (The block hash would not do as the key: it commits to
-  /// transaction ids, and an id leaves out the signature.)
-  [[nodiscard]] bool block_signed(const crypto::Hash256& digest, const chain::Block& block);
 
   /// One-way propagation delays (ms) over the topology's shortest paths.
   [[nodiscard]] double cs_delay_ms(std::uint32_t switch_id, std::uint32_t controller_id) const;
@@ -168,31 +165,31 @@ class CurbNetwork {
   [[nodiscard]] Controller* pick_recovery_donor() const;
   /// Long-lived OP() solver for options_.op_solver, created on first use.
   [[nodiscard]] opt::CapSolver& cap_solver();
-  /// The verdict memoised for `digest`, or check()'s, remembered.
-  template <typename Check>
-  [[nodiscard]] bool memoised_verdict(const crypto::Hash256& digest, Check check);
   /// Whether tx carries a valid signature of the controller it names.
   [[nodiscard]] bool tx_signed(const chain::Transaction& tx) const;
 
   AssignmentState genesis_state_;
   std::shared_ptr<const chain::Block> genesis_block_;
   /// validated_block's cache: the last kBlockCacheSize distinct copies that
-  /// passed, the oldest overwritten first. A block is looked up only while
-  /// its FINAL-AGREE copies are in flight, and the final leader seals one
-  /// block at a time, so a few entries serve every controller.
+  /// decoded and matched their Merkle root, the oldest overwritten first,
+  /// each with its signature verdict (true when signatures are not checked).
+  /// A block is looked up only while its FINAL-AGREE copies are in flight,
+  /// and the final leader seals one block at a time, so a few entries serve
+  /// every controller.
   struct CachedBlock {
     crypto::Hash256 hash{};
     std::vector<std::uint8_t> bytes;
     std::shared_ptr<const chain::Block> block;
+    bool signed_by_senders = true;
   };
   static constexpr std::size_t kBlockCacheSize = 8;
   std::array<CachedBlock, kBlockCacheSize> block_cache_;
   std::size_t block_cache_next_ = 0;
   std::uint64_t block_cache_hits_ = 0;
   std::uint64_t block_cache_misses_ = 0;
-  /// tx_list_signed's and block_signed's verdicts by payload digest. A
-  /// wholesale clear at kMaxVerdicts bounds the memo without recency
-  /// bookkeeping (which would be another host-order-dependence hazard).
+  /// tx_list_signed's verdicts by payload digest. A wholesale clear at
+  /// kMaxVerdicts bounds the memo without recency bookkeeping (which would
+  /// be another host-order-dependence hazard).
   std::unordered_map<crypto::Hash256, bool, crypto::DigestHash> signature_verdicts_;
   static constexpr std::size_t kMaxVerdicts = 8192;
   bool initialized_ = false;

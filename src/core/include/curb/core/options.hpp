@@ -54,8 +54,10 @@ struct CurbOptions {
   sim::SimTime reass_aggregation_delay = sim::SimTime::millis(30);
 
   /// Parallel mode (paper Fig. 4(c)): all intra-group and final consensus
-  /// instances proceed concurrently. Non-parallel serializes them through a
-  /// global token, which is what the paper's non-parallel baseline does.
+  /// instances proceed concurrently. In non-parallel mode a group leader
+  /// proposes its next txList only once every transaction of its previous
+  /// one is on the chain, so a group's intra-group and final consensus
+  /// never overlap; different groups still run side by side.
   bool parallel = true;
 
   /// Physical link model (paper: 2*10^8 m/s, 100 Mbps).

@@ -413,7 +413,7 @@ std::shared_ptr<const chain::Block> CurbNetwork::validated_block(
     if (entry.block != nullptr && entry.hash == header_hash &&
         std::equal(entry.bytes.begin(), entry.bytes.end(), bytes.begin(), bytes.end())) {
       ++block_cache_hits_;
-      return entry.block;
+      return entry.signed_by_senders ? entry.block : nullptr;
     }
   }
   ++block_cache_misses_;
@@ -429,18 +429,11 @@ std::shared_ptr<const chain::Block> CurbNetwork::validated_block(
   slot.hash = header_hash;
   slot.bytes.assign(bytes.begin(), bytes.end());
   slot.block = block;
-  return block;
-}
-
-template <typename Check>
-bool CurbNetwork::memoised_verdict(const crypto::Hash256& digest, Check check) {
-  if (const auto memo = signature_verdicts_.find(digest); memo != signature_verdicts_.end()) {
-    return memo->second;
-  }
-  const bool ok = check();
-  if (signature_verdicts_.size() >= kMaxVerdicts) signature_verdicts_.clear();
-  signature_verdicts_.emplace(digest, ok);
-  return ok;
+  slot.signed_by_senders =
+      !options_.verify_signatures ||
+      std::ranges::all_of(block->transactions(),
+                          [this](const chain::Transaction& tx) { return tx_signed(tx); });
+  return slot.signed_by_senders ? block : nullptr;
 }
 
 bool CurbNetwork::tx_signed(const chain::Transaction& tx) const {
@@ -450,21 +443,18 @@ bool CurbNetwork::tx_signed(const chain::Transaction& tx) const {
 
 bool CurbNetwork::tx_list_signed(const crypto::Hash256& digest,
                                  std::span<const std::uint8_t> payload) {
-  return memoised_verdict(digest, [&] {
-    try {
-      return std::ranges::all_of(deserialize_tx_list(payload),
-                                 [this](const chain::Transaction& tx) { return tx_signed(tx); });
-    } catch (const std::exception&) {
-      return false;  // an undecodable txList can never carry valid signatures
-    }
-  });
-}
-
-bool CurbNetwork::block_signed(const crypto::Hash256& digest, const chain::Block& block) {
-  return memoised_verdict(digest, [&] {
-    return std::ranges::all_of(block.transactions(),
-                               [this](const chain::Transaction& tx) { return tx_signed(tx); });
-  });
+  if (const auto memo = signature_verdicts_.find(digest); memo != signature_verdicts_.end()) {
+    return memo->second;
+  }
+  bool ok = false;  // an undecodable txList can never carry valid signatures
+  try {
+    ok = std::ranges::all_of(deserialize_tx_list(payload),
+                             [this](const chain::Transaction& tx) { return tx_signed(tx); });
+  } catch (const std::exception&) {
+  }
+  if (signature_verdicts_.size() >= kMaxVerdicts) signature_verdicts_.clear();
+  signature_verdicts_.emplace(digest, ok);
+  return ok;
 }
 
 std::vector<sdn::FlowEntry> CurbNetwork::compute_flow_entries(

@@ -898,6 +898,145 @@ TEST(CurbIntegration, UndecodableConfirmedTxListIsNeverSealedNorForwarded) {
   for (const auto& tx_list : forwarded) EXPECT_EQ(tx_list, decodable);
 }
 
+TEST(CurbIntegration, DissolvedGroupReplicaServesTheRetireGrace) {
+  // An applied RE-ASS block that dissolves a group retires the group's
+  // replica instead of destroying it: for 4 x pbft_timeout it still consumes
+  // the instance's PBFT traffic, and a txList it commits still yields AGREEs.
+  // A membership that returns within the grace resumes that replica, with
+  // its view and next sequence. After the grace the traffic is dropped.
+  CurbOptions opts = test_options();
+  opts.controller_capacity = 8.0;
+  opts.max_cs_delay_ms = opt::CapInstance::kNoLimit;
+  CurbSimulation sim{net::random_geo_topology(8, 6, 99), opts};
+  CurbNetwork& network = sim.network();
+  sim::Simulator& clock = network.simulator();
+  const AssignmentState& genesis = network.genesis_state();
+  const std::vector<std::uint32_t> members = genesis.group(0).members;
+  ASSERT_GE(members.size(), 4u);
+  ASSERT_EQ(genesis.group(0).leader, members[0]);  // so the group starts in view 0
+  const std::uint32_t instance = AssignmentState::instance_id_of(members);
+  const std::uint32_t self_index = 2;  // a follower in views 0 and 1
+  const std::uint32_t self = members[self_index];
+  Controller& controller = network.controller(self);
+  const sim::SimTime grace = opts.pbft_timeout * 4;
+
+  // The controller's PBFT votes and AGREEs for the instance.
+  std::vector<bft::PbftMessage> votes;
+  std::vector<std::vector<std::uint8_t>> agreed;
+  network.bus().set_send_observer([&](const auto& record, const CurbMessage& msg,
+                                      const std::string&) {
+    if (record.from != network.controller_topo_node(self)) return;
+    const auto* envelope = std::get_if<PbftEnvelope>(&msg);
+    if (envelope != nullptr && envelope->instance == instance) {
+      votes.push_back(envelope->message);
+    }
+    const auto* agree = std::get_if<AgreeMsg>(&msg);
+    if (agree != nullptr && agree->instance == instance) agreed.push_back(agree->tx_list);
+  });
+  const auto deliver = [&](bft::PbftMessage msg) {
+    controller.on_message(network.controller_topo_node(members[msg.sender]),
+                          CurbMessage{PbftEnvelope{instance, 0, std::move(msg)}});
+  };
+  // Replica 1, the leader of view 1, proposes a txList at `sequence`, and
+  // every other member votes for it.
+  const auto commit_slot = [&](std::uint64_t sequence) {
+    const chain::Transaction tx{chain::RequestType::kPacketIn, 0, members[1], sequence,
+                                {0x5e, static_cast<std::uint8_t>(sequence)}};
+    const std::vector<std::uint8_t> payload = serialize_tx_list({tx});
+    bft::PbftMessage msg;
+    msg.view = 1;
+    msg.sequence = sequence;
+    msg.digest = bft::payload_digest(payload);
+    msg.type = bft::PbftMessage::Type::kPrePrepare;
+    msg.sender = 1;
+    msg.payload = payload;
+    deliver(msg);
+    msg.payload.clear();
+    for (const auto type : {bft::PbftMessage::Type::kPrepare, bft::PbftMessage::Type::kCommit}) {
+      msg.type = type;
+      for (std::uint32_t i = 0; i < members.size(); ++i) {
+        msg.sender = i;
+        if (i != self_index) deliver(msg);
+      }
+    }
+    return payload;
+  };
+  // Whether the controller voted PREPARE and COMMIT in view 1 for `sequence`
+  // and AGREEd `payload` since the last call.
+  const auto served = [&](std::uint64_t sequence, const std::vector<std::uint8_t>& payload) {
+    bool prepared = false;
+    bool committed = false;
+    for (const bft::PbftMessage& vote : votes) {
+      if (vote.view != 1 || vote.sequence != sequence || vote.sender != self_index) continue;
+      prepared |= vote.type == bft::PbftMessage::Type::kPrepare;
+      committed |= vote.type == bft::PbftMessage::Type::kCommit;
+    }
+    const bool agree = std::find(agreed.begin(), agreed.end(), payload) != agreed.end();
+    votes.clear();
+    agreed.clear();
+    return prepared && committed && agree;
+  };
+  // Applies a block whose RE-ASS hands every switch to `governing`.
+  const auto adopt = [&](const std::vector<std::uint32_t>& governing, std::uint64_t epoch) {
+    opt::Assignment assignment{genesis.assignment().num_switches(),
+                               genesis.assignment().num_controllers()};
+    for (std::size_t sw = 0; sw < assignment.num_switches(); ++sw) {
+      for (const std::uint32_t c : governing) assignment.set(sw, c, true);
+    }
+    const AssignmentState next = AssignmentState::build(assignment, genesis.f(), epoch);
+    const chain::Transaction reassign{chain::RequestType::kReassign, 0, self, 100 + epoch,
+                                      next.serialize()};
+    const std::vector<std::uint32_t> committee = controller.state().final_committee();
+    const chain::Block block = chain::Block::create(
+        controller.blockchain().height() + 1, controller.blockchain().tip().hash(), {reassign},
+        static_cast<std::uint64_t>(clock.now().as_micros()), committee.back());
+    for (std::size_t i = 0; i < 2; ++i) {
+      controller.on_message(network.controller_topo_node(committee[i]),
+                            CurbMessage{FinalAgreeMsg{committee[i], block.serialize()}});
+    }
+    return controller.state().epoch() == epoch;
+  };
+  std::vector<std::uint32_t> without_group;  // every controller but members[0]
+  for (std::uint32_t c = 1; c < network.num_controllers(); ++c) without_group.push_back(c);
+
+  // Epoch 0: the replica moves to view 1 and executes sequence 1.
+  bft::PbftMessage new_view;
+  new_view.type = bft::PbftMessage::Type::kNewView;
+  new_view.view = 1;
+  new_view.sender = 1;
+  deliver(new_view);
+  const auto first = commit_slot(1);
+  ASSERT_TRUE(served(1, first));
+
+  // Epoch 1 dissolves the group; the retired replica serves until the grace ends.
+  ASSERT_TRUE(adopt(without_group, 1));
+  const sim::SimTime retired_at = clock.now();
+  clock.run_until(retired_at + grace - 1_ms);
+  const auto second = commit_slot(2);
+  EXPECT_TRUE(served(2, second)) << "retired replica, within the grace";
+
+  // Epoch 2 brings the membership back, under a leader that would seat a new
+  // replica in view 0: the old one resumes in view 1 at sequence 3, and
+  // epoch 1's grace ending does not take it away.
+  ASSERT_TRUE(adopt(members, 2));
+  ASSERT_EQ(controller.state().group(0).leader, members[0]);
+  clock.run_until(retired_at + grace + 1_ms);
+  const auto third = commit_slot(3);
+  EXPECT_TRUE(served(3, third)) << "resumed replica";
+
+  // Epoch 3 dissolves the group again; once this grace ends, the instance's
+  // traffic is dropped.
+  ASSERT_TRUE(adopt(without_group, 3));
+  const sim::SimTime retired_again_at = clock.now();
+  clock.run_until(retired_again_at + grace - 1_ms);
+  const auto fourth = commit_slot(4);
+  EXPECT_TRUE(served(4, fourth)) << "retired again, within the grace";
+  clock.run_until(retired_again_at + grace + 1_ms);
+  (void)commit_slot(5);
+  EXPECT_TRUE(votes.empty()) << votes.size() << " PBFT messages sent after the grace";
+  EXPECT_TRUE(agreed.empty()) << agreed.size() << " AGREEs sent after the grace";
+}
+
 TEST(CurbIntegration, FinalAgreeReusesOnlyByteIdenticalCopies) {
   // A FINAL-AGREE copy byte-identical to one that passed validation is
   // counted without being checked again. A corrupted copy can carry the same
